@@ -17,7 +17,6 @@ from .channel import (
     equivalent_matrix,
     make_equivalent,
     sample_channel,
-    sigma2_to_snr_db,
     snr_to_sigma2,
     transmit,
 )
@@ -30,7 +29,6 @@ from .code import (
     THETA_BAR,
     VARIANTS,
     build_generator,
-    encode_by_generator,
     encode_direct,
     permute_symbols,
 )
@@ -44,7 +42,6 @@ from .decoders import (
     get_decoder,
     ml_bruteforce,
     parallel_decisions,
-    register_decoder,
     sd_baseline,
     simplified_ml,
     verify_r_structure,
@@ -53,12 +50,10 @@ from .decoders import (
 from .linalg import (
     QRFactors,
     RankDeficiencyError,
-    check_expand,
     check_expand_matrix,
     complex_from_interleaved,
     gram_schmidt_qr,
     kron_identity_apply,
-    solve_linear,
     tilde_interleave,
     vec_stack,
 )

@@ -106,12 +106,3 @@ def snr_to_sigma2(snr_db, constellation=None, generator=None):
     energy = 1.0 if constellation is None else float(np.mean(np.abs(constellation.points) ** 2))
     signal_power = energy * float(np.trace(generator.T @ generator)) / (2.0 * BLOCK_LEN)
     return signal_power / (2.0 * 10.0 ** (snr_db / 10.0))
-
-
-def sigma2_to_snr_db(sigma2, constellation=None, generator=None):
-    """Inverse of :func:`snr_to_sigma2`."""
-    if generator is None:
-        generator = build_generator("new")
-    energy = 1.0 if constellation is None else float(np.mean(np.abs(constellation.points) ** 2))
-    signal_power = energy * float(np.trace(generator.T @ generator)) / (2.0 * BLOCK_LEN)
-    return 10.0 * np.log10(signal_power / (2.0 * sigma2))

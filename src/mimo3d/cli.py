@@ -43,8 +43,6 @@ def _add_sweep_parser(sub):
                    help="comma-separated registry names, e.g. sd-baseline,simplified-cs2")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=("new", "original"), default="new")
-    p.add_argument("--switch", choices=("none", "4by4", "2by2"), default="none",
-                   help="column-switch mode applied to the bare 'simplified' decoder")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
 
@@ -77,8 +75,6 @@ def main(argv=None):
             decoders=tuple(name.strip() for name in args.decoders.split(",") if name.strip()),
             seed=args.seed,
             variant=args.variant,
-            switch_mode=args.switch,
-            out_path=args.out,
             workers=args.workers,
         )
         rows, resamples = run_sweep(config)

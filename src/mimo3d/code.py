@@ -124,8 +124,3 @@ def build_generator(variant="new"):
     g = np.column_stack(cols)
     g.flags.writeable = False
     return g
-
-
-def encode_by_generator(s, variant="new"):
-    """Encode through G (returns the interleaved, vectorized codeword)."""
-    return build_generator(variant) @ tilde_interleave(s)

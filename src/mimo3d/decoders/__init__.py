@@ -7,7 +7,15 @@ The reported metric is recomputed uniformly as ``||y - H_eq s||^2`` for the
 returned symbols (uncharged; see :mod:`mimo3d.counters`).
 
 Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
-``simplified-cs2``.
+``simplified-cs2``.  A name is the only way to pick a decoder; the last
+three are :func:`simplified_ml` with ``switch_mode`` "none", "4by4" and
+"2by2".
+
+The two tree decoders run one depth-first engine,
+:func:`~.sphere.tree_search`, with two enumeration policies: ``sd-baseline``
+centres S-E order at every node of a 16-level search, the two-stage decoder
+uses fixed per-level tables over 8 levels and completes each leaf with its
+parallel decisions.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ from .simplified import (
     compute_v,
     parallel_decisions,
     simplified_ml,
-    tree_search,
     zf_estimate,
 )
-from .sphere import sd_baseline
+from .sphere import sd_baseline, tree_search
 from .structure import BLOCK_ZERO_POSITIONS, StructureReport, verify_r_structure
 
 __all__ = [
@@ -47,7 +54,6 @@ __all__ = [
     "get_decoder",
     "ml_bruteforce",
     "parallel_decisions",
-    "register_decoder",
     "sd_baseline",
     "simplified_ml",
     "tree_search",
@@ -93,15 +99,8 @@ def decoder_names():
     return tuple(REGISTRY)
 
 
-def register_decoder(name, fn):
-    """Add or replace a registry entry (used by tests and extensions)."""
-    REGISTRY[name] = fn
-
-
-def get_decoder(name, switch_mode="none"):
-    """Resolve a registry name; bare ``simplified`` honors ``switch_mode``."""
-    if name == "simplified" and switch_mode != "none":
-        return _make_simplified(switch_mode)
+def get_decoder(name):
+    """Resolve a registry name."""
     try:
         return REGISTRY[name]
     except KeyError:

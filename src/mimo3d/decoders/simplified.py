@@ -6,17 +6,20 @@ real from imaginary parts (see :mod:`.structure`).  The decode therefore
 splits into:
 
 * an outer depth-first tree search over the 8 real dimensions of the last
-  four symbols of the decode order, with lookup-table S-E enumeration built
-  once from the zero-forcing estimate (no per-node division), every child of
-  a visited node evaluated against the adaptive radius;
-* at each surviving leaf, four *parallel decisions*: independent 2-dim PAM
-  searches for (s1R,s2R), (s1I,s2I), (s3R,s4R), (s3I,s4I) on the
-  interference-cancelled targets v, each a one-level S-E loop over the
-  "s2-role" symbol with conditional slicing of the "s1-role" symbol.  The
-  four branches run in lockstep and share termination information: a branch
-  stops when its ascending partial distance exceeds its own best, or when it
-  plus the recorded distances of already-finished branches and the outer
-  distance exceeds the sphere radius.
+  four symbols of the decode order.  It is the shared engine
+  :func:`~.sphere.tree_search` with the fixed-table policy: the S-E order of
+  every level is built once from the zero-forcing estimate (no per-node
+  division), and every child of a visited node is evaluated against the
+  adaptive radius;
+* at each surviving leaf, as the engine's leaf hook, four *parallel
+  decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
+  (s3R,s4R), (s3I,s4I) on the interference-cancelled targets v, each a
+  one-level S-E loop over the "s2-role" symbol with conditional slicing of
+  the "s1-role" symbol.  The four branches run in lockstep and share
+  termination information: a branch stops when its ascending partial
+  distance exceeds its own best, or when it plus the recorded distances of
+  already-finished branches and the outer distance exceeds the sphere
+  radius.
 
 The worst case is sqrt(M)^8 = M^4 tree leaves with sqrt(M) candidates per
 branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
@@ -44,6 +47,8 @@ from ..linalg import (
 )
 from ..modem import nearest_qam, se_order, slice_pam
 from .result import DecodeResult
+from .sphere import tree_search
+from .structure import REL_TOL, gram_cross
 
 SWITCH_MODES = ("none", "4by4", "2by2")
 
@@ -219,68 +224,25 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_s
     return a_hat, b_hat, d_p
 
 
-def tree_search(z_tail, r_tail, tables, leaf_fn, counters, radius=math.inf):
-    """Depth-first lookup-table S-E search over an upper-triangular tail.
-
-    Levels run from n (root, last dimension) down to 1; the candidate order
-    per level is fixed up front by ``tables``, so expanding a node costs no
-    division -- but sibling distances are not guaranteed monotone, so every
-    child of a visited node is evaluated (pruned children are skipped, not
-    cut).  ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)`` completes the
-    candidate; the engine updates the radius with ``d_leaf + d_p`` (strict
-    improvement only).
-
-    Returns ``(best_s, best_payload, best_distance)``.
-    """
-    rows = [tuple(row) for row in np.asarray(r_tail, dtype=float)]
-    z = [float(x) for x in np.asarray(z_tail, dtype=float).ravel()]
-    n = len(z)
-    s = [0.0] * n
-    state = {"radius": float(radius), "best": None, "payload": None}
-
-    def descend(level, dist):
-        i = level - 1
-        row = rows[i]
-        acc = z[i]
-        for k in range(level, n):
-            acc -= row[k] * s[k]
-        counters.mults += n - level
-        rii = row[i]
-        for cand in tables[i]:
-            s[i] = cand
-            counters.tree_nodes += 1
-            resid = acc - rii * cand
-            d_new = dist + resid * resid
-            counters.mults += 2
-            if d_new < state["radius"]:
-                if level > 1:
-                    descend(level - 1, d_new)
-                else:
-                    counters.leaves += 1
-                    d_p, payload = leaf_fn(s, d_new, state["radius"])
-                    d_total = d_new + d_p
-                    if d_total < state["radius"]:
-                        state["radius"] = d_total
-                        state["best"] = s.copy()
-                        state["payload"] = payload
-
-    descend(n, 0.0)
-    return state["best"], state["payload"], state["radius"]
-
-
 def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none", cross_branch_stop=True):
     """Full two-stage decode of one received codeword.
 
-    ``h_eq`` must come from the "new" codeword ordering (the R zero
-    structure is trusted, not re-verified).  All three switch modes return
-    the same ML solution; they differ only in search effort.  Propagates
-    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.
+    ``h_eq`` must come from the "new" codeword ordering.  That is checked
+    first, on the Gram cross block of ``h_eq`` relative to ``max|H_eq|^2``
+    (one 4x16 by 16x4 product, a few microseconds against a decode of about
+    half a millisecond); any other ordering raises :class:`ValueError`,
+    because the decoder would return a non-ML answer on it.  All three switch
+    modes return the same ML solution; they differ only in search effort.
+    Propagates :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate
+    channels.
     """
     if switch_mode not in SWITCH_MODES:
         raise ValueError(f"unknown switch mode {switch_mode!r}; expected one of {SWITCH_MODES}")
+    h_eq = np.asarray(h_eq, dtype=float)
+    if gram_cross(h_eq) > REL_TOL:
+        raise ValueError("h_eq lacks the zero Gram cross block of the 'new' codeword ordering")
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
-    h_eq = np.asarray(h_eq, dtype=float)
 
     qr0 = gram_schmidt_qr(h_eq)
     charge_qr(counters, 16, 16)

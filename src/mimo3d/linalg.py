@@ -3,9 +3,9 @@
 The complex MIMO model ``Y = H X + W`` is turned into an equivalent
 real-valued model by three operators:
 
-* ``check_expand`` maps a complex scalar ``a + ib`` to the 2x2 real matrix
-  ``[[a, -b], [b, a]]`` that acts on interleaved (re, im) pairs exactly the
-  way the scalar acts on complex numbers.
+* ``check_expand_matrix`` maps each complex entry ``a + ib`` to the 2x2
+  real block ``[[a, -b], [b, a]]`` that acts on interleaved (re, im) pairs
+  exactly the way the scalar acts on complex numbers.
 * ``tilde_interleave`` turns a complex vector into the interleaved real
   vector ``[x1_re, x1_im, ..., xn_re, xn_im]``.
 * ``vec_stack`` stacks matrix columns into one vector.
@@ -31,7 +31,7 @@ RANK_TOL = 1e-12
 
 
 class RankDeficiencyError(ValueError):
-    """A matrix handed to QR / solve is numerically rank deficient."""
+    """A matrix handed to QR is numerically rank deficient."""
 
 
 class QRFactors(NamedTuple):
@@ -39,17 +39,11 @@ class QRFactors(NamedTuple):
     r: np.ndarray  # (n, n), upper triangular, nonnegative diagonal
 
 
-def check_expand(z):
-    """2x2 real expansion of a complex scalar: a+ib -> [[a, -b], [b, a]]."""
-    z = complex(z)
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
-
-
 def check_expand_matrix(m):
     """Blockwise 2x2 real expansion of a complex m-by-n matrix.
 
-    The (j, k) 2x2 block of the result is ``check_expand(m[j, k])``, so the
-    output is 2m-by-2n and satisfies
+    The (j, k) 2x2 block of the result is ``[[a, -b], [b, a]]`` for
+    ``m[j, k] = a + ib``, so the output is 2m-by-2n and satisfies
     ``check_expand_matrix(m) @ tilde_interleave(v) == tilde_interleave(m @ v)``.
     """
     m = np.asarray(m, dtype=complex)
@@ -147,12 +141,3 @@ def back_substitute(r, z):
     for i in range(n - 1, -1, -1):
         x[i] = (z[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
     return x
-
-
-def solve_linear(a, b):
-    """Solve the square system ``a @ x = b`` via Gram-Schmidt QR.
-
-    Raises :class:`RankDeficiencyError` when ``a`` is numerically singular.
-    """
-    q, r = gram_schmidt_qr(a)
-    return back_substitute(r, q.T @ np.asarray(b, dtype=float))

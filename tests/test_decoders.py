@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import branch_oracle, random_branch_fixture, random_instance
 
-from mimo3d import build_qam, derive_rng
+from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from mimo3d.counters import OpCounters
 from mimo3d.decoders import (
     ALLOWED_ORDERS,
@@ -112,6 +112,29 @@ def test_simplified_64qam_high_snr():
         ref = baseline(y, eq.h_eq, qam64)
         res = simplified_ml(y, eq.h_eq, qam64, switch_mode="2by2")
         assert abs(res.metric - ref.metric) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_simplified_refuses_original_ordering(scale):
+    # the two-stage decoder is ML only on the "new" ordering; an "original"
+    # h_eq is refused at every channel scale instead of decoded to a silent
+    # non-ML answer, and not as a RankDeficiencyError, which a sweep would
+    # swallow and resample
+    rng = derive_rng(225)
+    baseline = get_decoder("sd-baseline")
+    sigma = math.sqrt(snr_to_sigma2(5.0, QPSK))
+    for _ in range(10):
+        st = tilde_interleave(QPSK.points[rng.integers(0, 4, 8)])
+        h = scale * sample_channel(rng)
+        w = scale * sigma * rng.standard_normal(16)
+        eq_new, eq_orig = make_equivalent(h, "new"), make_equivalent(h, "original")
+        y = eq_new.h_eq @ st + w
+        res = simplified_ml(y, eq_new.h_eq, QPSK, switch_mode="2by2")
+        ref = baseline(y, eq_new.h_eq, QPSK)
+        assert abs(res.metric - ref.metric) <= 1e-9 * ref.metric
+        with pytest.raises(ValueError) as err:
+            simplified_ml(eq_orig.h_eq @ st + w, eq_orig.h_eq, QPSK)
+        assert not isinstance(err.value, RankDeficiencyError)
 
 
 def test_simplified_noiseless_single_leaf():
@@ -331,12 +354,17 @@ def test_tree_search_toy_trace():
 
 
 def test_registry_switch_resolution():
+    # the registry name is the only way to pick a switch mode
     rng = derive_rng(222)
     _, eq, y = random_instance(rng, QAM16, 10.0)
-    via_name = get_decoder("simplified-cs2")(y, eq.h_eq, QAM16)
-    via_switch = get_decoder("simplified", switch_mode="2by2")(y, eq.h_eq, QAM16)
-    assert np.array_equal(via_name.symbols, via_switch.symbols)
-    assert via_name.counters.visited_nodes == via_switch.counters.visited_nodes
+    for name, mode in (("simplified", "none"), ("simplified-cs4", "4by4"),
+                       ("simplified-cs2", "2by2")):
+        via_name = get_decoder(name)(y, eq.h_eq, QAM16)
+        direct = simplified_ml(y, eq.h_eq, QAM16, switch_mode=mode)
+        assert np.array_equal(via_name.symbols, direct.symbols)
+        assert via_name.counters == direct.counters
+    with pytest.raises(TypeError):
+        get_decoder("simplified", "2by2")
 
 
 def test_baseline_visited_nodes_far_below_worst_case():

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from mimo3d import derive_rng, make_equivalent, sample_channel
-from mimo3d.code import build_generator
+from mimo3d.code import VARIANTS, build_generator
 from mimo3d.decoders import verify_r_structure
 from mimo3d.linalg import check_expand_matrix, gram_schmidt_qr
 
@@ -26,6 +27,18 @@ def test_original_variant_block_claim_fails():
         # real/imaginary decoupling inside the diagonal blocks survives
         assert rep.r11_zeros <= rep.threshold
         assert rep.r22_zeros <= rep.threshold
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_checks_hold_at_any_channel_scale(scale):
+    rng = derive_rng(303)
+    for t in range(50):
+        h = scale * sample_channel(rng)
+        for variant in VARIANTS:
+            eq = make_equivalent(h, variant)
+            rep = verify_r_structure(eq.qr.r, variant, h_eq=eq.h_eq)
+            assert rep.ok == rep.expected_ok, f"trial {t} {variant}: {rep.checks}"
+            assert (rep.gram_cross <= rep.threshold) == rep.expected_ok
 
 
 def test_report_is_report_only():

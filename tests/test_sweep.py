@@ -3,7 +3,7 @@ import pytest
 
 from mimo3d.cli import main
 from mimo3d.counters import OpCounters
-from mimo3d.decoders import DecodeResult, REGISTRY, register_decoder
+from mimo3d.decoders import DecodeResult, REGISTRY
 from mimo3d.linalg import RankDeficiencyError
 from mimo3d.sweep import (
     CSV_HEADER,
@@ -42,7 +42,7 @@ def test_snr_points():
     dict(variant="original", decoders=("sd-baseline", "simplified-cs2")),
     dict(modulation="16qam", decoders=("bruteforce",)),
     dict(workers=0),
-    dict(switch_mode="8by8"),
+    dict(decoders=("simplified-cs8",)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ def test_all_decoders_see_identical_instances():
         return DecodeResult(symbols=constellation.points[np.zeros(8, int)],
                             metric=0.0, counters=OpCounters())
 
-    register_decoder("recorder", recorder)
+    REGISTRY["recorder"] = recorder
     try:
         cfg = small_config(trials=6, decoders=("recorder",), snr_stop=0.0)
         run_sweep(cfg)
@@ -128,7 +128,7 @@ def test_decoder_error_triggers_resample():
             raise RankDeficiencyError("synthetic degenerate trial")
         return REGISTRY["simplified"](y_tilde, h_eq, constellation)
 
-    register_decoder("flaky", flaky)
+    REGISTRY["flaky"] = flaky
     try:
         cfg = small_config(trials=3, decoders=("flaky",), snr_stop=0.0)
         rows, resamples = run_sweep(cfg)
@@ -226,6 +226,19 @@ def test_cli_sweep_and_summarize(tmp_path, capsys):
     rc = main(["summarize", "--in", str(out)])
     assert rc == 0
     assert "Reduction vs sd-baseline" in capsys.readouterr().out
+
+
+def test_cli_rejects_switch_flag(tmp_path, capsys):
+    # the switch mode is part of the decoder name, e.g. simplified-cs2
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
+            "--trials", "1", "--decoders", "simplified", "--seed", "3",
+            "--switch", "2by2", "--out", str(tmp_path / "cli.csv"),
+        ])
+    assert exc.value.code == 2
+    assert "--switch" in capsys.readouterr().err
+    assert not (tmp_path / "cli.csv").exists()
 
 
 def test_cli_verify_structure(capsys):
