@@ -18,13 +18,13 @@ trace(G^T G) = 32 and T = 4, so sigma^2 = 2 / SNR_linear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .code import BLOCK_LEN, build_generator
 from .linalg import (
-    QRFactors,
     check_expand_matrix,
     gram_schmidt_qr,
     kron_identity_apply,
@@ -60,7 +60,15 @@ class EquivalentChannel:
     h: np.ndarray          # 2x4 complex realization
     variant: str
     h_eq: np.ndarray       # 16x16 real
-    qr: QRFactors
+
+    @functools.cached_property
+    def qr(self):
+        """QR factors of ``h_eq``, computed on first access and then kept.
+
+        Raises :class:`~mimo3d.linalg.RankDeficiencyError` for a degenerate
+        realization.
+        """
+        return gram_schmidt_qr(self.h_eq)
 
 
 def equivalent_matrix(h, variant="new"):
@@ -70,14 +78,13 @@ def equivalent_matrix(h, variant="new"):
 
 
 def make_equivalent(h, variant="new"):
-    """Build and cache the equivalent channel and its Gram-Schmidt QR.
+    """Build the equivalent channel; its QR (``.qr``) is computed on first use.
 
-    Propagates :class:`~mimo3d.linalg.RankDeficiencyError` for degenerate
-    realizations (callers resample the trial).
+    The decoders factor ``h_eq`` themselves, so a caller that only hands
+    ``h_eq`` to a decoder never pays for ``.qr``.
     """
     h_eq = equivalent_matrix(h, variant)
-    return EquivalentChannel(h=np.asarray(h, dtype=complex), variant=variant,
-                             h_eq=h_eq, qr=gram_schmidt_qr(h_eq))
+    return EquivalentChannel(h=np.asarray(h, dtype=complex), variant=variant, h_eq=h_eq)
 
 
 def transmit(x, h, sigma2, rng):

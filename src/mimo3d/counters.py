@@ -5,11 +5,12 @@ is defined):
 
 * ``mults`` counts scalar real multiplications executed by the decoding
   formulas: dot-product terms, squarings and scalings.  ``divs`` counts
-  scalar real divisions (Gram-Schmidt normalizations, back-substitution,
+  scalar real divisions (QR normalizations, back-substitution,
   sphere-decoder centering, slicing arguments).  Additions, comparisons,
   square roots and table lookups are free.
 * Preprocessing is charged to the decoder that performs it: QR of an m-by-n
-  matrix costs ``m * n**2`` mults and ``m * n`` divs, the rotation
+  matrix costs ``m * n**2`` mults and ``m * n`` divs (the Gram-Schmidt
+  count, whichever routine computes the factor), the rotation
   ``z = Q^T y`` costs ``m * n`` mults, and a back-substitution costs
   ``n (n - 1) / 2`` mults plus ``n`` divs.
 * A *visited node* is one candidate assignment: at a tree level

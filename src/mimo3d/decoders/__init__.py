@@ -4,7 +4,11 @@ Registry entries are callables ``fn(y_tilde, h_eq, constellation) ->
 DecodeResult`` that perform their own counted preprocessing (QR, rotation,
 linear estimation), so operation counts are comparable across decoders.
 The reported metric is recomputed uniformly as ``||y - H_eq s||^2`` for the
-returned symbols (uncharged; see :mod:`mimo3d.counters`).
+returned symbols (uncharged; see :mod:`mimo3d.counters`).  Every entry first
+refuses a NaN or inf in either argument with a :class:`ValueError` that names
+the argument; it is deliberately not a
+:class:`~mimo3d.linalg.RankDeficiencyError`, which the sweep would swallow
+and resample.
 
 Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
 ``simplified-cs2``.  A name is the only way to pick a decoder; the last
@@ -62,13 +66,26 @@ __all__ = [
 ]
 
 
+def _require_finite(y_tilde, h_eq):
+    """Raise :class:`ValueError` naming the argument that holds a NaN or inf."""
+    for name, value in (("y_tilde", y_tilde), ("h_eq", h_eq)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")
+
+
 def _reported_metric(result, y_tilde, h_eq):
     resid = np.asarray(y_tilde, dtype=float).ravel() - h_eq @ tilde_interleave(result.symbols)
     result.metric = float(resid @ resid)
     return result
 
 
+def _decode_bruteforce(y_tilde, h_eq, constellation):
+    _require_finite(y_tilde, h_eq)
+    return ml_bruteforce(y_tilde, h_eq, constellation)
+
+
 def _decode_baseline(y_tilde, h_eq, constellation):
+    _require_finite(y_tilde, h_eq)
     counters = OpCounters()
     q, r = gram_schmidt_qr(h_eq)
     charge_qr(counters, 16, 16)
@@ -80,6 +97,7 @@ def _decode_baseline(y_tilde, h_eq, constellation):
 
 def _make_simplified(mode):
     def decode(y_tilde, h_eq, constellation):
+        _require_finite(y_tilde, h_eq)
         return simplified_ml(y_tilde, h_eq, constellation, switch_mode=mode)
 
     decode.__name__ = f"decode_simplified_{mode}"
@@ -87,7 +105,7 @@ def _make_simplified(mode):
 
 
 REGISTRY = {
-    "bruteforce": ml_bruteforce,
+    "bruteforce": _decode_bruteforce,
     "sd-baseline": _decode_baseline,
     "simplified": _make_simplified("none"),
     "simplified-cs4": _make_simplified("4by4"),

@@ -81,8 +81,8 @@ class ColumnSwitchPlan:
 def zf_estimate(y_tilde, h_eq, qr=None):
     """Unconstrained (zero-forcing) symbol estimate ``H_eq^-1 y``.
 
-    Solved through the Gram-Schmidt QR and back-substitution; returns the
-    eight complex symbols.  Linear in the received vector.
+    Solved through the QR (:func:`gram_schmidt_qr`) and back-substitution;
+    returns the eight complex symbols.  Linear in the received vector.
     """
     if qr is None:
         qr = gram_schmidt_qr(h_eq)
@@ -271,7 +271,7 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none", cross_branch
     pam = constellation.pam
     zf_perm_tilde = tilde_interleave(s_zf_perm)
     tables = [se_order(float(zf_perm_tilde[8 + i]), pam) for i in range(8)]
-    rows = [tuple(row) for row in qr_use.r]
+    rows = qr_use.r.tolist()
 
     def leaf(s_outer, d_leaf, radius):
         v = compute_v(z, qr_use.r, s_outer[:4], s_outer[4:])

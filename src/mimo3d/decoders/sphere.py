@@ -36,8 +36,9 @@ from .result import DecodeResult
 def tree_search(z, r, order, leaf_fn, counters):
     """Depth-first search of ``min ||z - R s||^2`` for upper-triangular ``r``.
 
-    ``r`` must have a positive diagonal (Gram-Schmidt output); a diagonal
-    entry at or below ``RANK_TOL`` raises :class:`RankDeficiencyError`.
+    ``r`` must have a positive diagonal (``gram_schmidt_qr`` output); a
+    diagonal entry at or below ``RANK_TOL`` raises
+    :class:`RankDeficiencyError`.
     ``order`` is the enumeration policy: a :class:`~mimo3d.modem.PamSet`
     gives centred S-E order at every node (sibling loop cut at the first
     child outside the radius), a sequence of per-dimension level tuples
@@ -45,12 +46,14 @@ def tree_search(z, r, order, leaf_fn, counters):
     inside the radius is a leaf; ``leaf_fn(s, d_leaf, radius) -> (d_p,
     payload)`` completes it (``None``: the leaf is complete as it is), and
     the radius becomes ``d_leaf + d_p`` on strict improvement only, so ties
-    keep the first solution found.
+    keep the first solution found.  ``z`` and ``r`` are converted once to
+    plain Python floats, so the per-node arithmetic (and ``d_leaf``,
+    ``radius`` and the returned distance) never goes through NumPy scalars.
 
     Returns ``(best_s, best_payload, best_distance)``.
     """
-    rows = [tuple(row) for row in np.asarray(r, dtype=float)]
-    z = [float(x) for x in np.asarray(z, dtype=float).ravel()]
+    rows = np.asarray(r, dtype=float).tolist()
+    z = np.asarray(z, dtype=float).ravel().tolist()
     n = len(z)
     for i in range(n):
         if rows[i][i] <= RANK_TOL:
@@ -100,8 +103,8 @@ def tree_search(z, r, order, leaf_fn, counters):
 def sd_baseline(z_tilde, r, constellation, counters=None):
     """Exact ML search of ``min ||z - R s||^2`` over all 16 real dimensions.
 
-    ``r`` must be upper triangular with positive diagonal (Gram-Schmidt
-    output).
+    ``r`` must be upper triangular with positive diagonal
+    (``gram_schmidt_qr`` output).
     """
     c = counters if counters is not None else OpCounters()
     best, _, metric = tree_search(z_tilde, r, constellation.pam, None, c)

@@ -12,11 +12,13 @@ real-valued model by three operators:
 
 Together they give ``tilde(vec(H X)) = (I_T kron check(H)) tilde(vec(X))``,
 which is what everything downstream (equivalent channel, QR, decoders)
-operates on.  The QR decomposition is the classical Gram-Schmidt one: the
-off-diagonal entries of R are the inner products ``<q_j, h_k>`` of the
-orthonormalized columns with the *original* columns, and the diagonal holds
-the residual norms.  The decoders rely on exactly this form of R, so no
-pivoting or Householder variant is used here.
+operates on.  The QR decomposition is the unique thin one with a positive
+diagonal in R, computed by LAPACK's Householder QR: the off-diagonal entries
+of R are the inner products ``<q_j, h_k>`` of the orthonormal columns with
+the *original* columns, and the diagonal holds the residual norms, the same
+factor classical Gram-Schmidt defines but with Q orthonormal to rounding
+even on ill-conditioned matrices (Golub and Van Loan, *Matrix
+Computations*, section 5.2).  The decoders rely on exactly this form of R.
 """
 
 from __future__ import annotations
@@ -97,47 +99,48 @@ def kron_identity_apply(block, t, m):
 
 
 def gram_schmidt_qr(a):
-    """Classical Gram-Schmidt QR of a tall matrix with independent columns.
+    """Thin QR of a tall matrix with independent columns, positive diagonal.
 
     Returns ``QRFactors(q, r)`` with ``a = q @ r``, orthonormal columns in
-    ``q`` and an upper-triangular ``r`` whose entries are
-    ``r[j, j] = ||residual_j||`` and ``r[j, k] = <q_j, a[:, k]>`` for j < k.
-    Entries below the diagonal are exact zeros by construction.
+    ``q`` and the unique upper-triangular ``r`` with a positive diagonal:
+    ``r[j, j] = ||residual_j||`` and ``r[j, k] = <q_j, a[:, k]>`` for j < k,
+    the factor Gram-Schmidt defines.  It is computed by LAPACK (Householder,
+    ``np.linalg.qr``), then the rows of ``r`` and the columns of ``q`` whose
+    diagonal entry is negative change sign.  Entries below the diagonal are
+    exact zeros.
 
     Raises
     ------
     RankDeficiencyError
-        If a residual column norm falls below ``RANK_TOL``.
+        If a diagonal entry of ``r`` falls below ``RANK_TOL``.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     if m < n:
         raise ValueError("need at least as many rows as columns")
-    q = np.zeros((m, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        col = a[:, j]
-        if j:
-            # classical (not modified) GS: all coefficients from the original column
-            coeff = q[:, :j].T @ col
-            r[:j, j] = coeff
-            v = col - q[:, :j] @ coeff
-        else:
-            v = col.copy()
-        norm = float(np.linalg.norm(v))
+    q, r = np.linalg.qr(a)
+    sign = np.copysign(1.0, r.diagonal())
+    q *= sign
+    r *= sign[:, None]
+    for j, norm in enumerate(r.diagonal().tolist()):
         if norm < RANK_TOL:
             raise RankDeficiencyError(f"column {j} numerically dependent (norm {norm:.3e})")
-        r[j, j] = norm
-        q[:, j] = v / norm
     return QRFactors(q, r)
 
 
 def back_substitute(r, z):
-    """Solve ``r @ x = z`` for upper-triangular ``r``."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = r.shape[0]
-    x = np.zeros(n)
+    """Solve ``r @ x = z`` for upper-triangular ``r``.
+
+    Runs on plain Python floats (one ``tolist`` per argument); returns an
+    ndarray.
+    """
+    rows = np.asarray(r, dtype=float).tolist()
+    x = np.asarray(z, dtype=float).ravel().tolist()
+    n = len(rows)
     for i in range(n - 1, -1, -1):
-        x[i] = (z[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
-    return x
+        row = rows[i]
+        acc = x[i]
+        for k in range(i + 1, n):
+            acc -= row[k] * x[k]
+        x[i] = acc / row[i]
+    return np.array(x)

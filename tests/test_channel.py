@@ -3,6 +3,7 @@ import pytest
 
 from mimo3d import (
     build_qam,
+    channel,
     derive_rng,
     encode_direct,
     make_equivalent,
@@ -11,7 +12,7 @@ from mimo3d import (
     transmit,
 )
 from mimo3d.decoders import verify_r_structure
-from mimo3d.linalg import tilde_interleave, vec_stack
+from mimo3d.linalg import gram_schmidt_qr, tilde_interleave, vec_stack
 
 
 def test_channel_unit_average_power():
@@ -120,6 +121,22 @@ def test_snr_reference_value():
 def test_make_equivalent_caches_qr():
     eq = make_equivalent(sample_channel(derive_rng(108)), "new")
     assert np.abs(eq.qr.q @ eq.qr.r - eq.h_eq).max() < 1e-9
+
+
+def test_make_equivalent_factors_lazily(monkeypatch):
+    # the QR runs on first access of eq.qr, once, through the module global
+    calls = []
+
+    def counting_qr(a):
+        calls.append(a)
+        return gram_schmidt_qr(a)
+
+    monkeypatch.setattr(channel, "gram_schmidt_qr", counting_qr)
+    eq = make_equivalent(sample_channel(derive_rng(108)), "new")
+    assert calls == []
+    first = eq.qr
+    assert eq.qr is first
+    assert len(calls) == 1 and calls[0] is eq.h_eq
 
 
 @pytest.mark.parametrize("variant", ["new", "original"])

@@ -353,6 +353,43 @@ def test_tree_search_toy_trace():
     assert counters.mults == 9  # 1 parent dot term + 2 per candidate
 
 
+@pytest.mark.parametrize("order", ["centred", "tables"])
+def test_tree_search_runs_on_plain_floats(order):
+    # NumPy z and R go in; every distance the engine hands out is a Python
+    # float, so the per-node arithmetic never runs as NumPy scalars
+    rng = derive_rng(225)
+    _, eq, y = random_instance(rng, QAM16, 12.0)
+    z = eq.qr.q.T @ y
+    pam = QAM16.pam
+    policy = pam if order == "centred" else [pam.level_tuple] * 16
+    seen = []
+
+    def leaf(s, d_leaf, radius):
+        seen.append((type(d_leaf), type(radius)))
+        return 0.0, None
+
+    _, _, dist = tree_search(z, eq.qr.r, policy, leaf, OpCounters())
+    assert type(dist) is float
+    assert seen and set(seen) == {(float, float)}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["y_tilde", "h_eq"])
+@pytest.mark.parametrize("name", sorted(decoder_names()))
+def test_registry_refuses_non_finite_input(name, arg, bad):
+    rng = derive_rng(226)
+    _, eq, y = random_instance(rng, QPSK, 10.0)
+    h_eq = eq.h_eq.copy()
+    if arg == "y_tilde":
+        y[3] = bad
+    else:
+        h_eq[5, 2] = bad
+    with pytest.raises(ValueError, match=f"^{arg} contains NaN or inf") as info:
+        get_decoder(name)(y, h_eq, QPSK)
+    # not a RankDeficiencyError, which the sweep would swallow and resample
+    assert not isinstance(info.value, RankDeficiencyError)
+
+
 def test_registry_switch_resolution():
     # the registry name is the only way to pick a switch mode
     rng = derive_rng(222)

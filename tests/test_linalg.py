@@ -111,6 +111,22 @@ def test_gram_schmidt_random_matrices():
         assert np.array_equal(np.tril(r, -1), np.zeros((16, 16)))  # exact zeros below
 
 
+def test_qr_contract_ill_conditioned():
+    # kappa = 1e8: classical Gram-Schmidt loses orthogonality here (about
+    # 8e-2); the factor must stay orthonormal and keep the Gram-Schmidt form
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    v, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    a = u @ np.diag(np.logspace(0, -8, 16)) @ v.T
+    q, r = gram_schmidt_qr(a)
+    assert np.linalg.norm(q.T @ q - np.eye(16), 2) <= 1e-12
+    assert np.abs(q @ r - a).max() <= 1e-14
+    assert (np.diag(r) > 0).all()
+    assert np.array_equal(np.tril(r, -1), np.zeros((16, 16)))  # exact zeros below
+    # r[j, k] = <q_j, a_k> on and above the diagonal
+    assert np.abs(np.triu(q.T @ a) - r).max() <= 1e-14
+
+
 def test_gram_schmidt_rank_deficiency():
     a = np.ones((4, 2))
     with pytest.raises(RankDeficiencyError):
@@ -125,4 +141,10 @@ def test_gram_schmidt_result_type():
 def test_back_substitute():
     r = np.array([[2.0, 1.0], [0.0, 4.0]])
     x = back_substitute(r, np.array([4.0, 8.0]))
+    assert isinstance(x, np.ndarray)
     assert np.allclose(r @ x, [4.0, 8.0])
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        r = np.triu(rng.standard_normal((16, 16))) + 4.0 * np.eye(16)
+        x = rng.standard_normal(16)
+        assert np.abs(back_substitute(r, r @ x) - x).max() <= 1e-12
