@@ -38,11 +38,10 @@ import numpy as np
 
 from ..counters import OpCounters, charge_backsolve, charge_matvec, charge_qr
 from ..linalg import (
-    RANK_TOL,
-    RankDeficiencyError,
     back_substitute,
     complex_from_interleaved,
     gram_schmidt_qr,
+    require_full_rank,
     tilde_interleave,
 )
 from ..modem import nearest_qam, se_order, slice_pam
@@ -158,70 +157,70 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_s
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
     before any decision, which only happens at already-hopeless leaves).
+    The eight diagonal entries read must pass :func:`require_full_rank`.
+
+    The stop test of a branch reads only the finished branches, and its
+    slice-and-update reads only its own state, so each live branch runs its
+    whole step j (stop test, then slice and update) before the next one in
+    branch order; that gives what running every stop test of step j before
+    any update would.  The sum of the finished branches' minima is kept
+    between tests and recomputed in branch order when a branch stops, so it
+    is the same float a fresh sum would give; the counters are summed
+    locally and added once.
     """
-    c = counters if counters is not None else OpCounters()
+    diag = [float(r[i][i]) for i in range(8)]
+    require_full_rank(diag)
+    n = pam.order
+    # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, then its
+    # state: best distance, its s1 and s2, steps run once it has stopped
     branches = []
     for i1, i2 in BRANCH_DIMS:
-        r11 = float(r[i1][i1])
-        r12 = float(r[i1][i2])
-        r22 = float(r[i2][i2])
-        if r11 <= RANK_TOL or r22 <= RANK_TOL:
-            raise RankDeficiencyError("degenerate R diagonal in parallel decision")
-        order = se_order(float(v[i2]) / r22, pam)
-        c.divs += 1
-        branches.append((float(v[i1]), float(v[i2]), r11, r12, r22, order))
-
-    active = [True] * 4
-    p = [math.inf] * 4          # best full branch distance so far
-    done_d = [math.inf] * 4     # recorded branch distance once stopped
-    tau = [0.0] * 4
-    cand = [0.0] * 4
-    sol1 = [None] * 4
-    sol2 = [None] * 4
-    for j in range(pam.order):
-        for b in range(4):
-            if not active[b]:
+        v2, r22 = float(v[i2]), diag[i2]
+        branches.append([float(v[i1]), diag[i1], float(r[i1][i2]), v2, r22,
+                         se_order(v2 / r22, pam), math.inf, None, None, 0])
+    live = branches.copy()
+    finished = 0.0  # sum of the finished branches' minima, in branch order
+    for j in range(n):
+        i = 0
+        while i < len(live):
+            br = live[i]
+            v1, r11, r12, v2, r22, order, p, _, _, _ = br
+            s2 = order[j]
+            t = v2 - r22 * s2
+            tau = t * t
+            if tau > p or (cross_branch_stop and tau + finished + d_outer > radius):
+                br[9] = j + 1
+                del live[i]
+                finished = 0.0
+                for other in branches:
+                    if other[9]:
+                        finished += other[6]
                 continue
-            v1, v2, r11, r12, r22, order = branches[b]
-            cand[b] = order[j]
-            c.branch_nodes[b] += 1
-            t = v2 - r22 * cand[b]
-            tau[b] = t * t
-            c.mults += 2
-            stop = tau[b] > p[b]
-            if not stop and cross_branch_stop:
-                others = 0.0
-                for k in range(4):
-                    if k != b and not active[k]:
-                        others += done_d[k]
-                stop = tau[b] + others + d_outer > radius
-            if stop:
-                active[b] = False
-                done_d[b] = p[b]
-        if not (active[0] or active[1] or active[2] or active[3]):
-            break
-        for b in range(4):
-            if not active[b]:
-                continue
-            v1, v2, r11, r12, r22, order = branches[b]
-            cross = r12 * cand[b]
+            cross = r12 * s2
             s1 = slice_pam((v1 - cross) / r11, pam)
             resid = v1 - r11 * s1 - cross
-            d_full = resid * resid + tau[b]
-            c.mults += 3
-            c.divs += 1
-            if d_full < p[b]:
-                p[b] = d_full
-                sol1[b] = s1
-                sol2[b] = cand[b]
-    for b in range(4):
-        if active[b]:
-            done_d[b] = p[b]
+            d_full = resid * resid + tau
+            if d_full < p:
+                br[6] = d_full
+                br[7] = s1
+                br[8] = s2
+            i += 1
+        if not live:
+            break
 
-    d_p = done_d[0] + done_d[1] + done_d[2] + done_d[3]
-    a_hat = (sol1[0], sol1[1], sol2[0], sol2[1])
-    b_hat = (sol1[2], sol1[3], sol2[2], sol2[3])
-    return a_hat, b_hat, d_p
+    c = counters if counters is not None else OpCounters()
+    steps = 0
+    for b, br in enumerate(branches):
+        ran = br[9] or n  # a branch that never stopped ran every step
+        c.branch_nodes[b] += ran
+        steps += ran
+    decided = steps - (4 - len(live))  # every step but a stopping one slices s1
+    c.mults += 2 * steps + 3 * decided
+    c.divs += 4 + decided
+    b0, b1, b2, b3 = branches
+    a_hat = (b0[7], b1[7], b0[8], b1[8])
+    b_hat = (b2[7], b3[7], b2[8], b3[8])
+    return a_hat, b_hat, b0[6] + b1[6] + b2[6] + b3[6]
 
 
 def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none", cross_branch_stop=True):

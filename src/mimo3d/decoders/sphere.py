@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from ..counters import OpCounters
-from ..linalg import RANK_TOL, RankDeficiencyError, complex_from_interleaved
+from ..linalg import complex_from_interleaved, require_full_rank
 from ..modem import PamSet, se_order
 from .result import DecodeResult
 
@@ -37,8 +37,8 @@ def tree_search(z, r, order, leaf_fn, counters):
     """Depth-first search of ``min ||z - R s||^2`` for upper-triangular ``r``.
 
     ``r`` must have a positive diagonal (``gram_schmidt_qr`` output); a
-    diagonal entry at or below ``RANK_TOL`` raises
-    :class:`RankDeficiencyError`.
+    diagonal entry below ``RANK_TOL`` times the largest raises
+    :class:`~mimo3d.linalg.RankDeficiencyError` (:func:`require_full_rank`).
     ``order`` is the enumeration policy: a :class:`~mimo3d.modem.PamSet`
     gives centred S-E order at every node (sibling loop cut at the first
     child outside the radius), a sequence of per-dimension level tuples
@@ -55,9 +55,7 @@ def tree_search(z, r, order, leaf_fn, counters):
     rows = np.asarray(r, dtype=float).tolist()
     z = np.asarray(z, dtype=float).ravel().tolist()
     n = len(z)
-    for i in range(n):
-        if rows[i][i] <= RANK_TOL:
-            raise RankDeficiencyError(f"degenerate R diagonal at {i}")
+    require_full_rank([rows[i][i] for i in range(n)])
     s = [0.0] * n
     centred = isinstance(order, PamSet)
     radius = math.inf

@@ -27,8 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Columns with norm below this are treated as rank deficiency; for random
-# fading channels this is a probability-zero event and the trial is redrawn.
+# An R diagonal entry below this fraction of the largest one is treated as
+# rank deficiency.  The rule is relative, so it holds at any channel scale;
+# for random fading channels it is a probability-zero event and the trial is
+# redrawn.
 RANK_TOL = 1e-12
 
 
@@ -112,7 +114,8 @@ def gram_schmidt_qr(a):
     Raises
     ------
     RankDeficiencyError
-        If a diagonal entry of ``r`` falls below ``RANK_TOL``.
+        If a diagonal entry of ``r`` falls below ``RANK_TOL`` times the
+        largest one (:func:`require_full_rank`).
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
@@ -122,10 +125,24 @@ def gram_schmidt_qr(a):
     sign = np.copysign(1.0, r.diagonal())
     q *= sign
     r *= sign[:, None]
-    for j, norm in enumerate(r.diagonal().tolist()):
-        if norm < RANK_TOL:
-            raise RankDeficiencyError(f"column {j} numerically dependent (norm {norm:.3e})")
+    require_full_rank(r.diagonal().tolist())
     return QRFactors(q, r)
+
+
+def require_full_rank(diag):
+    """Raise :class:`RankDeficiencyError` unless every entry of ``diag``, the
+    diagonal (or part of it) of an R factor, is positive and at least
+    ``RANK_TOL`` times the largest entry: ``r_jj < RANK_TOL * max_k r_kk``
+    is rank deficiency at any scale."""
+    top = max(diag)
+    floor = RANK_TOL * top
+    if min(diag) >= floor > 0.0:  # the common case, without a Python-level loop
+        return
+    for j, d in enumerate(diag):
+        if d <= 0.0 or d < floor:
+            raise RankDeficiencyError(
+                f"column {j} numerically dependent (R diagonal {d:.3e}, largest {top:.3e})"
+            )
 
 
 def back_substitute(r, z):

@@ -3,8 +3,20 @@
 A square M-QAM symbol is two independent sqrt(M)-PAM symbols, one on the
 real axis and one on the imaginary axis.  Constellations are normalized to
 unit average symbol energy, which pins the SNR definition used by the
-channel module.  All tie handling is deterministic (toward the smaller PAM
-level), so decoder outputs are bit-reproducible.
+channel module.
+
+Schnorr-Euchner (S-E) orders (Agrell, Eriksson, Vardy and Zeger, "Closest
+point search in lattices", IEEE Trans. Inf. Theory 2002) are not built per
+call.  On a uniform grid the order from an estimate depends only on the
+nearest level and on which side of it the estimate lies: after the nearest
+level it alternates between the two sides, starting with the nearer
+neighbour, until one side runs out.  :func:`build_qam` therefore stores the
+order of every (nearest level, side) pair in the :class:`PamSet`, and
+:func:`se_order` only picks one of those shared tuples.
+
+Tie handling is deterministic, so decoder outputs are bit-reproducible: an
+estimate exactly halfway between two levels slices to the smaller one, and
+levels at exactly equal distance from it are ordered smaller first.
 """
 
 from __future__ import annotations
@@ -19,15 +31,18 @@ SUPPORTED_ORDERS = (4, 16, 64)
 
 @dataclass(frozen=True, eq=False)
 class PamSet:
-    """Ascending, zero-symmetric, uniformly spaced PAM levels."""
+    """Ascending, zero-symmetric, uniformly spaced PAM levels.
+
+    ``se_orders[i]`` is the pair of S-E orders whose nearest level is
+    ``level_tuple[i]``: lower neighbour first, then upper neighbour first
+    (the same tuple twice for the two outermost levels).
+    """
 
     order: int
     levels: np.ndarray  # ascending
-    level_tuple: tuple = field(repr=False, default=())
-
-    @property
-    def spacing(self):
-        return self.level_tuple[1] - self.level_tuple[0]
+    level_tuple: tuple = field(repr=False)
+    spacing: float
+    se_orders: tuple = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,39 +58,56 @@ class QamConstellation:
         return self.pam.order
 
 
+def _se_orders(level_tuple):
+    """For every level i, its S-E orders with the lower and with the upper
+    neighbour first: the levels sorted by exact distance from a point a
+    quarter spacing below (``4 * (j - i) + 1``) or above (``- 1``) level i,
+    in units of a quarter spacing.  Those distances are distinct odd
+    integers, so the sort has no ties."""
+    n = len(level_tuple)
+    return tuple(
+        tuple(
+            tuple(level_tuple[j] for j in sorted(range(n), key=lambda j: abs(4 * (j - i) + side)))
+            for side in (1, -1)
+        )
+        for i in range(n)
+    )
+
+
 def build_qam(m):
     """Build a unit-energy square M-QAM constellation, M in {4, 16, 64}.
 
     PAM levels are the odd integers {+-1, +-3, ...} scaled by
     ``1 / sqrt(2 (M - 1) / 3)``, which makes the mean of |point|^2 exactly 1.
     Point k is ``levels[k // n] + 1j * levels[k % n]`` with ``n = sqrt(M)``.
+    The PAM set carries its spacing and its S-E order tables.
     """
     if m not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported constellation order {m}; expected one of {SUPPORTED_ORDERS}")
     n = math.isqrt(m)
     scale = 1.0 / math.sqrt(2.0 * (m - 1) / 3.0)
     levels = np.array([(2 * k - (n - 1)) * scale for k in range(n)])
-    pam = PamSet(order=n, levels=levels, level_tuple=tuple(float(x) for x in levels))
-    points = np.array([a + 1j * b for a in pam.level_tuple for b in pam.level_tuple])
+    level_tuple = tuple(float(x) for x in levels)
+    pam = PamSet(
+        order=n,
+        levels=levels,
+        level_tuple=level_tuple,
+        spacing=level_tuple[1] - level_tuple[0],
+        se_orders=_se_orders(level_tuple),
+    )
+    points = np.array([a + 1j * b for a in level_tuple for b in level_tuple])
     return QamConstellation(order=m, points=points, pam=pam)
-
-
-def slice_index(x, pam):
-    """Index of the PAM level nearest to x; ties go to the smaller level."""
-    levels = pam.level_tuple
-    n = len(levels)
-    if x <= levels[0]:
-        return 0
-    if x >= levels[-1]:
-        return n - 1
-    k = int((x - levels[0]) // pam.spacing)
-    k = min(k, n - 2)
-    return k if (x - levels[k]) <= (levels[k + 1] - x) else k + 1
 
 
 def slice_pam(x, pam):
     """Quantize x to the nearest PAM level (tie toward the smaller level)."""
-    return pam.level_tuple[slice_index(x, pam)]
+    levels = pam.level_tuple
+    if x <= levels[0]:
+        return levels[0]
+    if x >= levels[-1]:
+        return levels[-1]
+    k = min(int((x - levels[0]) // pam.spacing), pam.order - 2)
+    return levels[k] if (x - levels[k]) <= (levels[k + 1] - x) else levels[k + 1]
 
 
 def se_order(estimate, pam):
@@ -83,31 +115,33 @@ def se_order(estimate, pam):
 
     This is the Schnorr-Euchner visiting order for one decoding dimension:
     the first element is ``slice_pam(estimate)``, and the partial distances
-    ``|estimate - level|`` are nondecreasing along the sequence.  Ties order
-    the smaller level first.  Implemented as a two-pointer walk outward from
-    the sliced level, which is exact for a uniform grid.
+    ``|estimate - level|`` are nondecreasing along the sequence.  The
+    estimate is sliced to its nearest level i, one comparison
+    ``(estimate - l[i-1]) <= (l[i+1] - estimate)`` picks the nearer
+    neighbour, and the stored order for that pair is returned; nothing is
+    allocated.
+
+    Ties: an exact halfway estimate slices to the smaller level, and of two
+    levels at exactly equal distance the smaller comes first.  Past the
+    first comparison the order is that of an exactly uniform grid, so it
+    differs from a walk comparing every pair of rounded distances only
+    where the rounding of the levels themselves decides: for 64-QAM, within
+    an ulp or two of a level, two levels whose rounded distances differ by
+    one ulp can come in the other order.
     """
     levels = pam.level_tuple
-    n = len(levels)
-    i0 = slice_index(estimate, pam)
-    out = [levels[i0]]
-    lo, hi = i0 - 1, i0 + 1
-    while len(out) < n:
-        if lo < 0:
-            out.append(levels[hi])
-            hi += 1
-        elif hi >= n:
-            out.append(levels[lo])
-            lo -= 1
-        else:
-            # both distances are positive here; tie prefers the smaller level
-            if (estimate - levels[lo]) <= (levels[hi] - estimate):
-                out.append(levels[lo])
-                lo -= 1
-            else:
-                out.append(levels[hi])
-                hi += 1
-    return tuple(out)
+    if estimate <= levels[0]:
+        return pam.se_orders[0][0]
+    last = pam.order - 1
+    if estimate >= levels[last]:
+        return pam.se_orders[last][0]
+    i = min(int((estimate - levels[0]) // pam.spacing), last - 1)
+    if (estimate - levels[i]) > (levels[i + 1] - estimate):
+        i += 1
+    lower_first, upper_first = pam.se_orders[i]
+    if i == 0 or i == last or (estimate - levels[i - 1]) <= (levels[i + 1] - estimate):
+        return lower_first
+    return upper_first
 
 
 def nearest_qam(z, constellation):

@@ -52,3 +52,108 @@ def branch_oracle(v1, v2, r11, r12, r22, pam):
             if d < best_d:
                 best_d, best = d, (s1, s2)
     return best, best_d
+
+
+# -- reference implementations kept from before the S-E order tables ---------
+def slice_index_walk(x, pam):
+    """Index of the PAM level nearest to x; ties go to the smaller level."""
+    levels = pam.level_tuple
+    n = len(levels)
+    if x <= levels[0]:
+        return 0
+    if x >= levels[-1]:
+        return n - 1
+    k = int((x - levels[0]) // (levels[1] - levels[0]))
+    k = min(k, n - 2)
+    return k if (x - levels[k]) <= (levels[k + 1] - x) else k + 1
+
+
+def se_order_walk(estimate, pam):
+    """S-E order by a two-pointer walk outward from the sliced level, one
+    comparison of rounded distances per step (tie: smaller level first)."""
+    levels = pam.level_tuple
+    n = len(levels)
+    i0 = slice_index_walk(estimate, pam)
+    out = [levels[i0]]
+    lo, hi = i0 - 1, i0 + 1
+    while len(out) < n:
+        if lo < 0:
+            out.append(levels[hi])
+            hi += 1
+        elif hi >= n:
+            out.append(levels[lo])
+            lo -= 1
+        elif (estimate - levels[lo]) <= (levels[hi] - estimate):
+            out.append(levels[lo])
+            lo -= 1
+        else:
+            out.append(levels[hi])
+            hi += 1
+    return tuple(out)
+
+
+def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_branch_stop=True):
+    """The four parallel branches as a two-pass lockstep: every live branch
+    takes its stop test for step j, then every still-live branch slices and
+    updates, and the finished branches are summed afresh at every test."""
+    c = counters
+    branches = []
+    for i1, i2 in BRANCH_DIMS:
+        r11 = float(r[i1][i1])
+        r12 = float(r[i1][i2])
+        r22 = float(r[i2][i2])
+        order = se_order_walk(float(v[i2]) / r22, pam)
+        c.divs += 1
+        branches.append((float(v[i1]), float(v[i2]), r11, r12, r22, order))
+
+    active = [True] * 4
+    p = [math.inf] * 4
+    done_d = [math.inf] * 4
+    tau = [0.0] * 4
+    cand = [0.0] * 4
+    sol1 = [None] * 4
+    sol2 = [None] * 4
+    for j in range(pam.order):
+        for b in range(4):
+            if not active[b]:
+                continue
+            v1, v2, r11, r12, r22, order = branches[b]
+            cand[b] = order[j]
+            c.branch_nodes[b] += 1
+            t = v2 - r22 * cand[b]
+            tau[b] = t * t
+            c.mults += 2
+            stop = tau[b] > p[b]
+            if not stop and cross_branch_stop:
+                others = 0.0
+                for k in range(4):
+                    if k != b and not active[k]:
+                        others += done_d[k]
+                stop = tau[b] + others + d_outer > radius
+            if stop:
+                active[b] = False
+                done_d[b] = p[b]
+        if not (active[0] or active[1] or active[2] or active[3]):
+            break
+        for b in range(4):
+            if not active[b]:
+                continue
+            v1, v2, r11, r12, r22, order = branches[b]
+            cross = r12 * cand[b]
+            s1 = pam.level_tuple[slice_index_walk((v1 - cross) / r11, pam)]
+            resid = v1 - r11 * s1 - cross
+            d_full = resid * resid + tau[b]
+            c.mults += 3
+            c.divs += 1
+            if d_full < p[b]:
+                p[b] = d_full
+                sol1[b] = s1
+                sol2[b] = cand[b]
+    for b in range(4):
+        if active[b]:
+            done_d[b] = p[b]
+
+    d_p = done_d[0] + done_d[1] + done_d[2] + done_d[3]
+    a_hat = (sol1[0], sol1[1], sol2[0], sol2[1])
+    b_hat = (sol1[2], sol1[3], sol2[2], sol2[3])
+    return a_hat, b_hat, d_p

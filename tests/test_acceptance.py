@@ -173,6 +173,7 @@ def test_criterion_5_complexity_bounds(qpsk_oracle_run, qam16_oracle_run):
                    f"held on all {total} instrumented decodes")
 
 
+@pytest.mark.slow
 def test_criterion_6_complexity_trend(sweep_qpsk_0db, sweep_16qam_8db):
     r_qpsk = (sweep_qpsk_0db["simplified-cs2"].mean_visited_nodes
               / sweep_qpsk_0db["sd-baseline"].mean_visited_nodes)
@@ -185,6 +186,7 @@ def test_criterion_6_complexity_trend(sweep_qpsk_0db, sweep_16qam_8db):
             f"ordering with margin, absolute counts are baseline-implementation specific")
 
 
+@pytest.mark.slow
 def test_criterion_7_column_switch_benefit(sweep_qpsk_0db):
     ratio = (sweep_qpsk_0db["simplified-cs2"].mean_visited_nodes
              / sweep_qpsk_0db["simplified"].mean_visited_nodes)

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import branch_oracle, random_branch_fixture, random_instance
+from helpers import (
+    branch_oracle,
+    parallel_decisions_lockstep,
+    random_branch_fixture,
+    random_instance,
+)
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from mimo3d.counters import OpCounters
@@ -25,6 +30,7 @@ from mimo3d.linalg import RankDeficiencyError, gram_schmidt_qr, tilde_interleave
 
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
+SEARCH_DECODERS = ("sd-baseline", "simplified", "simplified-cs4", "simplified-cs2")
 
 
 def test_registry_names():
@@ -264,6 +270,117 @@ def test_parallel_decisions_degenerate_diagonal():
     r[2, 2] = 0.0
     with pytest.raises(RankDeficiencyError):
         parallel_decisions(v, r, math.inf, 0.0, pam)
+
+
+def test_parallel_decisions_relative_rank_rule():
+    pam = QAM16.pam
+    v, r = random_branch_fixture(derive_rng(229), pam)
+    scale = 2.0**-46
+    got = parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam)
+    want = parallel_decisions(v, r, math.inf, 0.0, pam)
+    assert got[:2] == want[:2] and got[2] == want[2] * scale**2
+    r[6, 6] = 1e-13 * np.diag(r)[:8].max()
+    with pytest.raises(RankDeficiencyError):
+        parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam)
+
+
+def _tie_branch_fixture(rng, pam):
+    """(v, R) whose slicing arguments fall exactly on PAM midpoints, with
+    r12 = 0 so candidates at equal distance give equal branch distances."""
+    levels = pam.level_tuple
+    mids = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    r = np.zeros((16, 16))
+    v = np.zeros(8)
+    for i1, i2 in BRANCH_DIMS:
+        r[i1, i1], r[i2, i2] = 1.0, 0.5
+        v[i1] = mids[rng.integers(len(mids))]
+        v[i2] = 0.5 * mids[rng.integers(len(mids))]
+    return v, r
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_parallel_decisions_matches_lockstep_oracle(m):
+    # Exact agreement with the two-pass lockstep, with a finite radius and
+    # outer distance drawn so that cross-branch stopping fires on part of
+    # the fixtures; every fourth fixture has exact slicing ties.
+    pam = build_qam(m).pam
+    rng = derive_rng(226, m)
+    fired = 0
+    fixtures = 2000
+    for t in range(fixtures):
+        make = _tie_branch_fixture if t % 4 == 3 else random_branch_fixture
+        v, r = make(rng, pam)
+        free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
+        d_outer = free * rng.uniform(0.0, 1.0)
+        radius = d_outer + free * rng.uniform(0.0, 1.5)
+        cross = t % 8 != 0
+        got_c, want_c, plain_c = OpCounters(), OpCounters(), OpCounters()
+        got = parallel_decisions(v, r, radius, d_outer, pam, counters=got_c, cross_branch_stop=cross)
+        want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c, cross)
+        assert got == want  # a_hat, b_hat and d_p, exactly
+        assert got_c == want_c  # branch_nodes, mults, divs (tree counters untouched)
+        parallel_decisions_lockstep(v, r, radius, d_outer, pam, plain_c, False)
+        fired += (want_c.branch_nodes, want_c.mults) != (plain_c.branch_nodes, plain_c.mults)
+    print(f"\nM={m}: cross-branch stopping fired on {fired} of {fixtures} fixtures")
+    assert 0.1 * fixtures < fired < 0.9 * fixtures
+
+
+def test_parallel_decisions_sums_finished_branches_in_branch_order():
+    # Branch 2 stops at step 1, branches 0 and 1 at step 2.  Branch 3's
+    # cross-branch test at step 2 then lands exactly on the radius with the
+    # three minima summed in branch order, (p0 + p1) + p2, so it goes on;
+    # summed in stopping order, (p2 + p0) + p1, they are one ulp larger.
+    pam = QAM16.pam
+    v = np.array([4.032, 3.232, 0.01, 0.02, 4.247, 8.0, 3.1722776601683793, 0.003])
+    r = np.zeros((16, 16))
+    for b, (i1, i2) in enumerate(BRANCH_DIMS):
+        r[i1, i1], r[i2, i2] = 1.0, (10.0 if b < 3 else 1.0)
+    radius = 46.30445035288266
+    got_c, want_c = OpCounters(), OpCounters()
+    got = parallel_decisions(v, r, radius, 0.0, pam, counters=got_c)
+    want = parallel_decisions_lockstep(v, r, radius, 0.0, pam, want_c)
+    assert got == want
+    assert got_c == want_c
+    assert got_c.branch_nodes == [3, 3, 2, 4]
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_search_decoders_are_scale_free(m):
+    # The rank rule is relative: h_eq and y scaled by 2^-46 or 2^46 (exact
+    # in floating point) decode to the same symbols with the same counters.
+    qam = build_qam(m)
+    for k in range(4):
+        _, eq, y = random_instance(derive_rng(227, m, k), qam, 4.0 if m == 4 else 12.0)
+        for name in SEARCH_DECODERS:
+            ref = get_decoder(name)(y, eq.h_eq, qam)
+            for e in (-46, 46):
+                res = get_decoder(name)(y * 2.0**e, eq.h_eq * 2.0**e, qam)
+                assert np.array_equal(res.symbols, ref.symbols), (name, e)
+                assert res.counters == ref.counters, (name, e)
+
+
+@pytest.mark.parametrize("scale", [2.0**-46, 1.0, 2.0**46])
+def test_equal_columns_raise_at_every_scale(scale):
+    _, eq, y = random_instance(derive_rng(228), QAM16, 12.0)
+    h = eq.h_eq.copy()
+    h[:, 2] = h[:, 0]  # keeps the zero Gram cross block of the "new" ordering
+    for name in SEARCH_DECODERS:
+        with pytest.raises(RankDeficiencyError):
+            get_decoder(name)(y * scale, h * scale, QAM16)
+
+
+def test_tree_search_relative_rank_rule():
+    rng = np.random.default_rng(13)
+    r = np.triu(rng.standard_normal((8, 8))) + 3.0 * np.eye(8)
+    z = rng.standard_normal(8)
+    tables = [QPSK.pam.level_tuple] * 8
+    scale = 2.0**-46
+    want = tree_search(z, r, tables, None, OpCounters())
+    got = tree_search(z * scale, r * scale, tables, None, OpCounters())
+    assert got[0] == want[0] and got[2] == want[2] * scale**2
+    r[3, 3] = 1e-13 * np.diag(r).max()
+    with pytest.raises(RankDeficiencyError):
+        tree_search(z * scale, r * scale, tables, None, OpCounters())
 
 
 def test_column_switch_none_is_identity():

@@ -133,6 +133,18 @@ def test_gram_schmidt_rank_deficiency():
         gram_schmidt_qr(a)
 
 
+@pytest.mark.parametrize("scale", [2.0**-46, 2.0**46])
+def test_gram_schmidt_rank_rule_is_relative(scale):
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((16, 16))
+    q, r = gram_schmidt_qr(a * scale)
+    assert np.array_equal(q, gram_schmidt_qr(a).q)
+    assert np.array_equal(r, gram_schmidt_qr(a).r * scale)
+    a[:, 5] = a[:, 2]
+    with pytest.raises(RankDeficiencyError):
+        gram_schmidt_qr(a * scale)
+
+
 def test_gram_schmidt_result_type():
     out = gram_schmidt_qr(np.eye(3))
     assert isinstance(out, QRFactors)

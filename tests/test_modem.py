@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import se_order_walk
 
 from mimo3d.modem import build_qam, nearest_qam, se_order, slice_pam
 
@@ -96,6 +97,59 @@ def test_se_order_matches_sort_oracle():
             x = float(x)
             oracle = tuple(sorted(pam.level_tuple, key=lambda lvl: (abs(x - lvl), lvl)))
             assert se_order(x, pam) == oracle
+
+
+def test_se_order_returns_stored_tuples():
+    pam = build_qam(16).pam
+    assert pam.spacing == pam.level_tuple[1] - pam.level_tuple[0]
+    stored = {id(order) for pair in pam.se_orders for order in pair}
+    for x in np.linspace(-2.0, 2.0, 401):
+        assert id(se_order(float(x), pam)) in stored
+        assert se_order(x, pam) is se_order(float(x), pam)  # NumPy scalars too
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_se_order_tables_match_walk_on_random_points(m):
+    pam = build_qam(m).pam
+    rng = np.random.default_rng(11)
+    xs = (rng.standard_normal(100_000) * 1.5).tolist()
+    assert [x for x in xs if se_order(x, pam) != se_order_walk(x, pam)] == []
+
+
+def _near_levels_and_midpoints(pam, ulps=40):
+    """Every level and every midpoint, each with its ``ulps`` neighbouring
+    floats on both sides."""
+    levels = pam.level_tuple
+    probes = []
+    for centre in levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:])):
+        probes.append(centre)
+        lo = hi = centre
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            probes += (lo, hi)
+    return probes
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_se_order_tables_match_walk_near_levels_and_midpoints(m):
+    pam = build_qam(m).pam
+    probes = _near_levels_and_midpoints(pam)
+    assert [x for x in probes if se_order(x, pam) != se_order_walk(x, pam)] == []
+
+
+def test_se_order_64qam_near_levels_and_midpoints_nondecreasing():
+    # The 64-QAM levels are uniform only up to their own rounding, so within
+    # an ulp or two of a level two neighbours at rounded distances one ulp
+    # apart can come in the other order than a walk over rounded distances
+    # puts them; distances are nondecreasing up to that rounding.
+    pam = build_qam(64).pam
+    tol = math.ulp(pam.level_tuple[-1])
+    for x in _near_levels_and_midpoints(pam):
+        order = se_order(x, pam)
+        assert order[0] == slice_pam(x, pam)
+        assert sorted(order) == list(pam.level_tuple)
+        dists = [abs(x - lvl) for lvl in order]
+        assert all(b >= a - tol for a, b in zip(dists, dists[1:])), x
 
 
 def test_nearest_qam_fixed_points():
