@@ -38,7 +38,6 @@ from .decoders import (
     StructureReport,
     column_switch,
     compute_v,
-    decoder_names,
     get_decoder,
     ml_bruteforce,
     parallel_decisions,

@@ -101,15 +101,14 @@ def transmit(x, h, sigma2, rng):
     return y, tilde_interleave(vec_stack(y))
 
 
-def snr_to_sigma2(snr_db, constellation=None, generator=None):
+def snr_to_sigma2(snr_db, constellation=None):
     """Per-real-dimension noise variance for a target SNR in dB.
 
     Uses the module-level SNR convention (see module docstring).  The mean
     symbol energy is taken from ``constellation`` (1 by construction) and
-    the transmit power from the generator's column norms.
+    the transmit power from the code generator's column norms.
     """
-    if generator is None:
-        generator = build_generator("new")
+    generator = build_generator("new")
     energy = 1.0 if constellation is None else float(np.mean(np.abs(constellation.points) ** 2))
     signal_power = energy * float(np.trace(generator.T @ generator)) / (2.0 * BLOCK_LEN)
     return signal_power / (2.0 * 10.0 ** (snr_db / 10.0))

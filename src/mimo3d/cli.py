@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .code import VARIANTS
 from .sweep import (
     MODULATIONS,
     SweepConfig,
@@ -42,7 +43,7 @@ def _add_sweep_parser(sub):
     p.add_argument("--decoders", required=True,
                    help="comma-separated registry names, e.g. sd-baseline,simplified-cs2")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--variant", choices=("new", "original"), default="new")
+    p.add_argument("--variant", choices=VARIANTS, default="new")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
 

@@ -41,7 +41,6 @@ VARIANTS = ("new", "original")
 #: Involution exchanging (s3, s4) with (s5, s6), 0-based positions.
 SYMBOL_SWAP = (0, 1, 4, 5, 2, 3, 6, 7)
 
-N_TX = 4
 N_SYMBOLS = 8
 BLOCK_LEN = 4
 

@@ -43,15 +43,6 @@ class OpCounters:
         """Latency proxy: tree nodes plus the busiest parallel branch."""
         return self.tree_nodes + max(self.branch_nodes)
 
-    def add(self, other):
-        self.tree_nodes += other.tree_nodes
-        for k in range(4):
-            self.branch_nodes[k] += other.branch_nodes[k]
-        self.leaves += other.leaves
-        self.mults += other.mults
-        self.divs += other.divs
-        return self
-
 
 def charge_qr(counters, m, n):
     counters.mults += m * n * n

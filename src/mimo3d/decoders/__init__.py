@@ -54,7 +54,6 @@ __all__ = [
     "StructureReport",
     "column_switch",
     "compute_v",
-    "decoder_names",
     "get_decoder",
     "ml_bruteforce",
     "parallel_decisions",
@@ -111,10 +110,6 @@ REGISTRY = {
     "simplified-cs4": _make_simplified("4by4"),
     "simplified-cs2": _make_simplified("2by2"),
 }
-
-
-def decoder_names():
-    return tuple(REGISTRY)
 
 
 def get_decoder(name):

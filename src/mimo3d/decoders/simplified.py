@@ -140,7 +140,7 @@ def compute_v(z_tilde, r, c, d):
     return z[:8] - np.asarray(r, dtype=float)[:8, 8:16] @ outer
 
 
-def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_stop=True):
+def parallel_decisions(v, r, radius, d_outer, pam, counters=None):
     """Four synchronized 2-dim PAM searches; returns ``(a_hat, b_hat, d_p)``.
 
     Branch b solves ``min (v1 - r11 s1 - r12 s2)^2 + (v2 - r22 s2)^2`` over
@@ -149,10 +149,11 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_s
     ``v2 / r22``, so partial distances ascend), with s1 obtained by slicing
     ``(v1 - r12 s2) / r11``.  Iteration j of all branches completes before
     iteration j+1 starts.  A branch stops when its partial distance exceeds
-    its own best, or -- with ``cross_branch_stop`` -- when it plus the
-    recorded distances of finished branches plus ``d_outer`` exceeds
-    ``radius``.  Cross-branch stopping never changes the decode outcome:
-    it can only inflate ``d_p`` at leaves the radius test rejects anyway.
+    its own best, or when it plus the recorded distances of finished
+    branches plus ``d_outer`` exceeds ``radius``; ``radius=math.inf`` turns
+    this cross-branch test off.  Cross-branch stopping never changes the
+    decode outcome: it can only inflate ``d_p`` at leaves the radius test
+    rejects anyway.
 
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
@@ -188,7 +189,7 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_s
             s2 = order[j]
             t = v2 - r22 * s2
             tau = t * t
-            if tau > p or (cross_branch_stop and tau + finished + d_outer > radius):
+            if tau > p or tau + finished + d_outer > radius:
                 br[9] = j + 1
                 del live[i]
                 finished = 0.0
@@ -223,7 +224,7 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None, cross_branch_s
     return a_hat, b_hat, b0[6] + b1[6] + b2[6] + b3[6]
 
 
-def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none", cross_branch_stop=True):
+def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     """Full two-stage decode of one received codeword.
 
     ``h_eq`` must come from the "new" codeword ordering.  That is checked
@@ -271,14 +272,16 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none", cross_branch
     zf_perm_tilde = tilde_interleave(s_zf_perm)
     tables = [se_order(float(zf_perm_tilde[8 + i]), pam) for i in range(8)]
     rows = qr_use.r.tolist()
+    # looked up once per decode.  This also keeps the leaf closure at six
+    # cells: the leaf lives in the search's reference cycle, and the sweep
+    # benchmark's speed probe is sensitive to the exact number of objects a
+    # decode leaves for the cyclic GC (see CHANGES.md)
+    decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):
         v = compute_v(z, qr_use.r, s_outer[:4], s_outer[4:])
         counters.mults += 64
-        a_hat, b_hat, d_p = parallel_decisions(
-            v, rows, radius, d_leaf, pam,
-            counters=counters, cross_branch_stop=cross_branch_stop,
-        )
+        a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters=counters)
         return d_p, (a_hat, b_hat)
 
     best_outer, payload, _ = tree_search(z[8:], qr_use.r[8:, 8:], tables, leaf, counters)

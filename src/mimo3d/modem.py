@@ -53,10 +53,6 @@ class QamConstellation:
     points: np.ndarray  # (M,), re-major then im order
     pam: PamSet
 
-    @property
-    def pam_order(self):
-        return self.pam.order
-
 
 def _se_orders(level_tuple):
     """For every level i, its S-E orders with the lower and with the upper

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,11 +30,6 @@ from .linalg import RankDeficiencyError, tilde_interleave, vec_stack
 from .modem import build_qam
 
 MODULATIONS = {"qpsk": 4, "16qam": 16, "64qam": 64}
-
-CSV_HEADER = (
-    "decoder", "snr_db", "trials", "symbol_errors", "ser", "cer",
-    "mean_visited_nodes", "mean_mults", "mean_divs", "ci95_ser",
-)
 
 MAX_ATTEMPTS = 64
 
@@ -92,6 +88,8 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     decoder: str
     snr_db: float
     trials: int
@@ -104,30 +102,7 @@ class SweepRow:
     ci95_ser: float
 
 
-@dataclass
-class _BlockSums:
-    """Integer accumulators; summation order cannot affect the totals."""
-
-    symbol_errors: np.ndarray
-    codeword_errors: np.ndarray
-    visited: np.ndarray
-    mults: np.ndarray
-    divs: np.ndarray
-    resamples: int = 0
-
-    @classmethod
-    def zeros(cls, n_dec, n_snr):
-        z = lambda: np.zeros((n_dec, n_snr), dtype=np.int64)
-        return cls(z(), z(), z(), z(), z())
-
-    def merge(self, other):
-        self.symbol_errors += other.symbol_errors
-        self.codeword_errors += other.codeword_errors
-        self.visited += other.visited
-        self.mults += other.mults
-        self.divs += other.divs
-        self.resamples += other.resamples
-        return self
+CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
 def _run_block(config, t_start, t_stop):
@@ -136,7 +111,10 @@ def _run_block(config, t_start, t_stop):
     decoders = [get_decoder(name) for name in config.decoders]
     snrs = config.snr_points()
     sigmas = [math.sqrt(snr_to_sigma2(snr, constellation)) for snr in snrs]
-    sums = _BlockSums.zeros(len(decoders), len(snrs))
+    # integer tallies, so summation order cannot affect the totals: symbol
+    # errors, codeword errors, visited nodes, mults, divs
+    tallies = np.zeros((5, len(decoders), len(snrs)), dtype=np.int64)
+    resamples = 0
 
     for trial in range(t_start, t_stop):
         for attempt in range(MAX_ATTEMPTS):
@@ -153,19 +131,16 @@ def _run_block(config, t_start, t_stop):
                     for dec_i, fn in enumerate(decoders):
                         outcomes.append((dec_i, snr_i, fn(y_tilde, eq.h_eq, constellation)))
             except RankDeficiencyError:
-                sums.resamples += 1
+                resamples += 1
                 continue
             break
         else:
             raise RuntimeError(f"trial {trial}: resample limit {MAX_ATTEMPTS} reached")
         for dec_i, snr_i, res in outcomes:
             errs = int(np.sum(res.symbols != s_true))
-            sums.symbol_errors[dec_i, snr_i] += errs
-            sums.codeword_errors[dec_i, snr_i] += errs > 0
-            sums.visited[dec_i, snr_i] += res.counters.visited_nodes
-            sums.mults[dec_i, snr_i] += res.counters.mults
-            sums.divs[dec_i, snr_i] += res.counters.divs
-    return sums
+            c = res.counters
+            tallies[:, dec_i, snr_i] += (errs, errs > 0, c.visited_nodes, c.mults, c.divs)
+    return tallies, resamples
 
 
 def run_sweep(config):
@@ -179,22 +154,21 @@ def run_sweep(config):
     trials = config.trials
     workers = min(config.workers, trials)
     if workers <= 1:
-        sums = _run_block(config, 0, trials)
+        tallies, resamples = _run_block(config, 0, trials)
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         jobs = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(jobs)) as pool:
             parts = pool.starmap(_run_block, jobs)
-        sums = parts[0]
-        for part in parts[1:]:
-            sums.merge(part)
+        tallies = sum(t for t, _ in parts)
+        resamples = sum(n for _, n in parts)
 
     n_sym = 8 * trials
     rows = []
     for dec_i, name in enumerate(config.decoders):
         for snr_i, snr in enumerate(config.snr_points()):
-            errors = int(sums.symbol_errors[dec_i, snr_i])
+            errors, cw_errors, visited, mults, divs = (int(t) for t in tallies[:, dec_i, snr_i])
             ser = errors / n_sym
             rows.append(SweepRow(
                 decoder=name,
@@ -202,50 +176,38 @@ def run_sweep(config):
                 trials=trials,
                 symbol_errors=errors,
                 ser=ser,
-                cer=int(sums.codeword_errors[dec_i, snr_i]) / trials,
-                mean_visited_nodes=int(sums.visited[dec_i, snr_i]) / trials,
-                mean_mults=int(sums.mults[dec_i, snr_i]) / trials,
-                mean_divs=int(sums.divs[dec_i, snr_i]) / trials,
+                cer=cw_errors / trials,
+                mean_visited_nodes=visited / trials,
+                mean_mults=mults / trials,
+                mean_divs=divs / trials,
                 ci95_ser=1.96 * math.sqrt(max(ser * (1.0 - ser), 0.0) / n_sym),
             ))
-    return rows, sums.resamples
+    return rows, resamples
 
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.6g}"
 
 
 def write_csv(rows, path):
-    """Serialize rows: fixed header, 6 significant digits, LF line endings."""
+    """Serialize rows: header and columns from SweepRow's fields, numbers to
+    6 significant digits, LF line endings."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for r in rows:
-            fh.write(",".join([
-                r.decoder, _fmt(r.snr_db), _fmt(r.trials), _fmt(r.symbol_errors),
-                _fmt(r.ser), _fmt(r.cer), _fmt(r.mean_visited_nodes),
-                _fmt(r.mean_mults), _fmt(r.mean_divs), _fmt(r.ci95_ser),
-            ]) + "\n")
+            fh.write(",".join(_fmt(getattr(r, name)) for name in CSV_HEADER) + "\n")
 
 
 def read_csv(path):
-    rows = []
+    """Parse a sweep CSV back into rows, each column as its field's type."""
+    types = typing.get_type_hints(SweepRow)
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(SweepRow(
-                decoder=rec["decoder"],
-                snr_db=float(rec["snr_db"]),
-                trials=int(rec["trials"]),
-                symbol_errors=int(rec["symbol_errors"]),
-                ser=float(rec["ser"]),
-                cer=float(rec["cer"]),
-                mean_visited_nodes=float(rec["mean_visited_nodes"]),
-                mean_mults=float(rec["mean_mults"]),
-                mean_divs=float(rec["mean_divs"]),
-                ci95_ser=float(rec["ci95_ser"]),
-            ))
-    return rows
+        return [SweepRow(**{name: types[name](rec[name]) for name in CSV_HEADER})
+                for rec in csv.DictReader(fh)]
 
 
 def summarize(rows):
@@ -300,8 +262,7 @@ def structure_sweep(trials, seed):
     variant (the "original" block claim is expected to fail and is reported
     as such).  One channel realization per trial, shared by both variants.
     """
-    worst = {v: {"r12_block": 0.0, "r11_zeros": 0.0, "r22_zeros": 0.0, "gram_cross": 0.0}
-             for v in VARIANTS}
+    worst = {v: {} for v in VARIANTS}  # claim -> largest value, in StructureReport.checks order
     for trial in range(trials):
         rng = derive_rng(seed, trial)
         h = sample_channel(rng)
@@ -309,7 +270,7 @@ def structure_sweep(trials, seed):
             eq = make_equivalent(h, variant)
             rep = verify_r_structure(eq.qr.r, variant, h_eq=eq.h_eq)
             for claim, value in rep.checks.items():
-                worst[variant][claim] = max(worst[variant][claim], value)
+                worst[variant][claim] = max(worst[variant].get(claim, 0.0), value)
 
     lines = [f"R-structure verification over {trials} random quasi-static channels",
              "(values are max |entry| / max |R|, Gram entries / max |H_eq|^2;"

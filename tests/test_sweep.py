@@ -6,7 +6,6 @@ from mimo3d.counters import OpCounters
 from mimo3d.decoders import DecodeResult, REGISTRY
 from mimo3d.linalg import RankDeficiencyError
 from mimo3d.sweep import (
-    CSV_HEADER,
     SweepConfig,
     SweepRow,
     read_csv,
@@ -61,6 +60,18 @@ def test_rows_in_decoder_then_snr_order():
         assert r.ser == r.symbol_errors / (8 * r.trials)
 
 
+# the header documented in README.md
+README_HEADER = ("decoder,snr_db,trials,symbol_errors,ser,cer,"
+                 "mean_visited_nodes,mean_mults,mean_divs,ci95_ser")
+
+# every CSV column with the type read_csv gives it
+COLUMN_TYPES = {
+    "decoder": str, "snr_db": float, "trials": int, "symbol_errors": int,
+    "ser": float, "cer": float, "mean_visited_nodes": float, "mean_mults": float,
+    "mean_divs": float, "ci95_ser": float,
+}
+
+
 def test_csv_format(tmp_path):
     rows, _ = run_sweep(small_config(trials=5))
     path = tmp_path / "out.csv"
@@ -68,11 +79,22 @@ def test_csv_format(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
-    assert lines[0] == ",".join(CSV_HEADER)
+    assert lines[0] == README_HEADER
     assert len(lines) == 1 + len(rows)
+
+
+def test_read_csv_round_trip(tmp_path):
+    rows, _ = run_sweep(small_config(trials=7))
+    path = tmp_path / "out.csv"
+    write_csv(rows, path)
     back = read_csv(path)
-    assert [r.decoder for r in back] == [r.decoder for r in rows]
-    assert all(abs(a.mean_mults - b.mean_mults) < 1e-6 * max(b.mean_mults, 1) for a, b in zip(back, rows))
+    assert len(back) == len(rows)
+    for got, sent in zip(back, rows):
+        for name, kind in COLUMN_TYPES.items():
+            value, want = getattr(got, name), getattr(sent, name)
+            assert type(value) is kind, name
+            # floats are written to 6 significant digits
+            assert value == (float(f"{want:.6g}") if kind is float else want), name
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -136,6 +158,23 @@ def test_decoder_error_triggers_resample():
         assert rows[0].trials == 3
     finally:
         REGISTRY.pop("flaky", None)
+
+
+def test_resample_count_does_not_depend_on_workers():
+    def picky(y_tilde, h_eq, constellation):
+        if h_eq[0, 0] > 0.3:
+            raise RankDeficiencyError("synthetic degenerate trial")
+        return REGISTRY["sd-baseline"](y_tilde, h_eq, constellation)
+
+    REGISTRY["picky"] = picky
+    try:
+        runs = [run_sweep(small_config(trials=24, decoders=("picky",), workers=w))
+                for w in (1, 3)]
+    finally:
+        REGISTRY.pop("picky", None)
+    (rows_1, resamples_1), (rows_3, resamples_3) = runs
+    assert resamples_1 == resamples_3 == 4
+    assert rows_1 == rows_3
 
 
 def test_variant_original_with_structure_free_decoders():
