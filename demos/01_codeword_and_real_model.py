@@ -13,7 +13,7 @@ np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
 # --- constellation -----------------------------------------------------------
 qam = m3.build_qam(16)
-print("16-QAM PAM levels:", qam.pam.levels)
+print("16-QAM PAM levels:", np.array(qam.pam.level_tuple))
 print("average symbol energy:", np.mean(np.abs(qam.points) ** 2))
 
 # --- encoding ----------------------------------------------------------------

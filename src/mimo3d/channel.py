@@ -57,9 +57,7 @@ def sample_channel(rng):
 class EquivalentChannel:
     """Real equivalent channel ``h_eq = (I_T kron check(H)) G`` plus its QR."""
 
-    h: np.ndarray          # 2x4 complex realization
-    variant: str
-    h_eq: np.ndarray       # 16x16 real
+    h_eq: np.ndarray  # 16x16 real
 
     @functools.cached_property
     def qr(self):
@@ -83,8 +81,7 @@ def make_equivalent(h, variant="new"):
     The decoders factor ``h_eq`` themselves, so a caller that only hands
     ``h_eq`` to a decoder never pays for ``.qr``.
     """
-    h_eq = equivalent_matrix(h, variant)
-    return EquivalentChannel(h=np.asarray(h, dtype=complex), variant=variant, h_eq=h_eq)
+    return EquivalentChannel(h_eq=equivalent_matrix(h, variant))
 
 
 def transmit(x, h, sigma2, rng):
@@ -101,7 +98,7 @@ def transmit(x, h, sigma2, rng):
     return y, tilde_interleave(vec_stack(y))
 
 
-def snr_to_sigma2(snr_db, constellation=None):
+def snr_to_sigma2(snr_db, constellation):
     """Per-real-dimension noise variance for a target SNR in dB.
 
     Uses the module-level SNR convention (see module docstring).  The mean
@@ -109,6 +106,6 @@ def snr_to_sigma2(snr_db, constellation=None):
     the transmit power from the code generator's column norms.
     """
     generator = build_generator("new")
-    energy = 1.0 if constellation is None else float(np.mean(np.abs(constellation.points) ** 2))
+    energy = float(np.mean(np.abs(constellation.points) ** 2))
     signal_power = energy * float(np.trace(generator.T @ generator)) / (2.0 * BLOCK_LEN)
     return signal_power / (2.0 * 10.0 ** (snr_db / 10.0))

@@ -3,12 +3,12 @@
 Registry entries are callables ``fn(y_tilde, h_eq, constellation) ->
 DecodeResult`` that perform their own counted preprocessing (QR, rotation,
 linear estimation), so operation counts are comparable across decoders.
-The reported metric is recomputed uniformly as ``||y - H_eq s||^2`` for the
-returned symbols (uncharged; see :mod:`mimo3d.counters`).  Every entry first
-refuses a NaN or inf in either argument with a :class:`ValueError` that names
-the argument; it is deliberately not a
-:class:`~mimo3d.linalg.RankDeficiencyError`, which the sweep would swallow
-and resample.
+The reported metric is ``||y - H_eq s||^2`` for the returned symbols
+(uncharged; see :mod:`mimo3d.counters`): brute force computes exactly that,
+and the tree decoders' search distances are replaced by it in
+:func:`_reported_metric`, the one place that computes it.  Every decoder
+refuses a NaN or inf in either argument with a :class:`ValueError` that
+names the argument (:func:`~mimo3d.linalg.require_finite`).
 
 Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
 ``simplified-cs2``.  A name is the only way to pick a decoder; the last
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..counters import OpCounters, charge_matvec, charge_qr
-from ..linalg import gram_schmidt_qr, tilde_interleave
+from ..linalg import gram_schmidt_qr, require_finite, tilde_interleave
 from .bruteforce import ml_bruteforce
 from .result import DecodeResult
 from .simplified import (
@@ -65,26 +65,14 @@ __all__ = [
 ]
 
 
-def _require_finite(y_tilde, h_eq):
-    """Raise :class:`ValueError` naming the argument that holds a NaN or inf."""
-    for name, value in (("y_tilde", y_tilde), ("h_eq", h_eq)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")
-
-
 def _reported_metric(result, y_tilde, h_eq):
     resid = np.asarray(y_tilde, dtype=float).ravel() - h_eq @ tilde_interleave(result.symbols)
     result.metric = float(resid @ resid)
     return result
 
 
-def _decode_bruteforce(y_tilde, h_eq, constellation):
-    _require_finite(y_tilde, h_eq)
-    return ml_bruteforce(y_tilde, h_eq, constellation)
-
-
 def _decode_baseline(y_tilde, h_eq, constellation):
-    _require_finite(y_tilde, h_eq)
+    require_finite(y_tilde, h_eq)
     counters = OpCounters()
     q, r = gram_schmidt_qr(h_eq)
     charge_qr(counters, 16, 16)
@@ -96,15 +84,15 @@ def _decode_baseline(y_tilde, h_eq, constellation):
 
 def _make_simplified(mode):
     def decode(y_tilde, h_eq, constellation):
-        _require_finite(y_tilde, h_eq)
-        return simplified_ml(y_tilde, h_eq, constellation, switch_mode=mode)
+        result = simplified_ml(y_tilde, h_eq, constellation, switch_mode=mode)
+        return _reported_metric(result, y_tilde, h_eq)
 
     decode.__name__ = f"decode_simplified_{mode}"
     return decode
 
 
 REGISTRY = {
-    "bruteforce": _decode_bruteforce,
+    "bruteforce": ml_bruteforce,
     "sd-baseline": _decode_baseline,
     "simplified": _make_simplified("none"),
     "simplified-cs4": _make_simplified("4by4"),

@@ -41,6 +41,7 @@ from ..linalg import (
     back_substitute,
     complex_from_interleaved,
     gram_schmidt_qr,
+    require_finite,
     require_full_rank,
     tilde_interleave,
 )
@@ -77,16 +78,23 @@ class ColumnSwitchPlan:
         return self.order == _IDENTITY
 
 
-def zf_estimate(y_tilde, h_eq, qr=None):
+def _rotate(h_eq, y, counters):
+    """Charged QR of ``h_eq`` and rotation of ``y``: ``(QRFactors, Q^T y)``."""
+    qr = gram_schmidt_qr(h_eq)
+    charge_qr(counters, 16, 16)
+    z = qr.q.T @ y
+    charge_matvec(counters, 16, 16)
+    return qr, z
+
+
+def zf_estimate(r, z):
     """Unconstrained (zero-forcing) symbol estimate ``H_eq^-1 y``.
 
-    Solved through the QR (:func:`gram_schmidt_qr`) and back-substitution;
-    returns the eight complex symbols.  Linear in the received vector.
+    Takes the rotated pair, ``r`` of the QR of ``H_eq`` and ``z = Q^T y``,
+    and solves ``r s = z`` by back-substitution; returns the eight complex
+    symbols.  Linear in ``z``.
     """
-    if qr is None:
-        qr = gram_schmidt_qr(h_eq)
-    s_tilde = back_substitute(qr.r, qr.q.T @ np.asarray(y_tilde, dtype=float).ravel())
-    return complex_from_interleaved(s_tilde)
+    return complex_from_interleaved(back_substitute(r, z))
 
 
 def column_switch(s_zf, h_eq, mode, constellation):
@@ -228,75 +236,60 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     """Full two-stage decode of one received codeword.
 
     ``h_eq`` must come from the "new" codeword ordering.  That is checked
-    first, on the Gram cross block of ``h_eq`` relative to ``max|H_eq|^2``
+    up front, on the Gram cross block of ``h_eq`` relative to ``max|H_eq|^2``
     (one 4x16 by 16x4 product, a few microseconds against a decode of about
     half a millisecond); any other ordering raises :class:`ValueError`,
     because the decoder would return a non-ML answer on it.  All three switch
     modes return the same ML solution; they differ only in search effort.
-    Propagates :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate
+    Raises :class:`ValueError` on a NaN or inf in either argument and
+    propagates :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate
     channels.
+
+    ``metric`` is the search distance ``||z - R s||^2`` in the rotated
+    domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
+    square; the registry entries report the received-domain value.
     """
-    if switch_mode not in SWITCH_MODES:
-        raise ValueError(f"unknown switch mode {switch_mode!r}; expected one of {SWITCH_MODES}")
+    require_finite(y_tilde, h_eq)
     h_eq = np.asarray(h_eq, dtype=float)
     if gram_cross(h_eq) > REL_TOL:
         raise ValueError("h_eq lacks the zero Gram cross block of the 'new' codeword ordering")
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
 
-    qr0 = gram_schmidt_qr(h_eq)
-    charge_qr(counters, 16, 16)
-    z0 = qr0.q.T @ y
-    charge_matvec(counters, 16, 16)
-    s_zf_tilde = back_substitute(qr0.r, z0)
+    qr, z = _rotate(h_eq, y, counters)
+    s_zf = zf_estimate(qr.r, z)
     charge_backsolve(counters, 16)
-    s_zf = complex_from_interleaved(s_zf_tilde)
-
     if switch_mode == "none":
         plan = ColumnSwitchPlan(mode="none")
-        h_perm = h_eq
     else:
         h_perm, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
         counters.mults += 16  # |Q(s_zf) - s_zf|^2 over 8 complex entries
-    if plan.is_identity:
-        qr_use, z = qr0, z0
-        s_zf_perm = s_zf
-    else:
-        qr_use = gram_schmidt_qr(h_perm)
-        charge_qr(counters, 16, 16)
-        z = qr_use.q.T @ y
-        charge_matvec(counters, 16, 16)
-        s_zf_perm = s_zf[list(plan.order)]
+        if not plan.is_identity:
+            qr, z = _rotate(h_perm, y, counters)
+            s_zf = s_zf[list(plan.order)]
 
     pam = constellation.pam
-    zf_perm_tilde = tilde_interleave(s_zf_perm)
-    tables = [se_order(float(zf_perm_tilde[8 + i]), pam) for i in range(8)]
-    rows = qr_use.r.tolist()
+    zf_tilde = tilde_interleave(s_zf)
+    tables = [se_order(float(zf_tilde[8 + i]), pam) for i in range(8)]
+    rows = qr.r.tolist()
     # looked up once per decode.  This also keeps the leaf closure at six
-    # cells: the leaf lives in the search's reference cycle, and the sweep
+    # cells (z, qr, counters, decide, rows, pam; R is read through the factor
+    # tuple): the leaf lives in the search's reference cycle, and the sweep
     # benchmark's speed probe is sensitive to the exact number of objects a
     # decode leaves for the cyclic GC (see CHANGES.md)
     decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):
-        v = compute_v(z, qr_use.r, s_outer[:4], s_outer[4:])
+        v = compute_v(z, qr.r, s_outer[:4], s_outer[4:])
         counters.mults += 64
         a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters=counters)
         return d_p, (a_hat, b_hat)
 
-    best_outer, payload, _ = tree_search(z[8:], qr_use.r[8:, 8:], tables, leaf, counters)
+    best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], tables, leaf, counters)
     if best_outer is None:  # unreachable: the first leaf always beats an infinite radius
         raise RuntimeError("tree search returned no candidate")
 
     a_hat, b_hat = payload
-    s_perm_tilde = np.empty(16)
-    s_perm_tilde[0:4] = a_hat
-    s_perm_tilde[4:8] = b_hat
-    s_perm_tilde[8:16] = best_outer
-    s_perm = complex_from_interleaved(s_perm_tilde)
     symbols = np.empty(8, dtype=complex)
-    for pos, sym in enumerate(plan.order):
-        symbols[sym] = s_perm[pos]
-
-    resid = y - h_eq @ tilde_interleave(symbols)  # reporting only, not charged
-    return DecodeResult(symbols=symbols, metric=float(resid @ resid), counters=counters)
+    symbols[list(plan.order)] = complex_from_interleaved((*a_hat, *b_hat, *best_outer))
+    return DecodeResult(symbols=symbols, metric=dist, counters=counters)

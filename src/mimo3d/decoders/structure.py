@@ -46,10 +46,10 @@ def gram_cross(h_eq):
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Largest relative violation per claim, against ``threshold``."""
+    """Largest relative violation per claim; a claim holds at or below
+    ``REL_TOL``."""
 
     variant: str
-    threshold: float          # rel_tol
     r12_block: float          # max |R[0:4, 4:8]| / max |R|
     r11_zeros: float          # max over BLOCK_ZERO_POSITIONS in R[0:4, 0:4], / max |R|
     r22_zeros: float          # same pattern in R[4:8, 4:8]
@@ -68,18 +68,18 @@ class StructureReport:
 
     @property
     def ok(self):
-        return all(v <= self.threshold for v in self.checks.values())
+        return all(v <= REL_TOL for v in self.checks.values())
 
     @property
     def expected_ok(self):
         return self.variant == "new"
 
 
-def verify_r_structure(r, variant="new", h_eq=None, rel_tol=REL_TOL):
+def verify_r_structure(r, variant="new", h_eq=None):
     """Measure the asserted-zero entries of R (and optionally the Gram block).
 
     Entries of R are measured relative to ``max|R|``, the Gram block by
-    :func:`gram_cross`; a claim holds at or below ``rel_tol``.  Never raises;
+    :func:`gram_cross`; a claim holds at or below ``REL_TOL``.  Never raises;
     callers decide what a failure means (for variant "new" it is a bug or a
     non-quasi-static channel, for "original" it is the expected outcome of
     the block claim).
@@ -91,7 +91,6 @@ def verify_r_structure(r, variant="new", h_eq=None, rel_tol=REL_TOL):
     r22 = max(abs(float(r[4 + i, 4 + j])) for i, j in BLOCK_ZERO_POSITIONS)
     return StructureReport(
         variant=variant,
-        threshold=rel_tol,
         r12_block=_relative(r12, r_max),
         r11_zeros=_relative(r11, r_max),
         r22_zeros=_relative(r22, r_max),

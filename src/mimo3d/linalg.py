@@ -145,6 +145,16 @@ def require_full_rank(diag):
             )
 
 
+def require_finite(y_tilde, h_eq):
+    """Raise :class:`ValueError` naming the argument that holds a NaN or inf.
+
+    Deliberately not a :class:`RankDeficiencyError`, which the sweep would
+    swallow and resample."""
+    for name, value in (("y_tilde", y_tilde), ("h_eq", h_eq)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")
+
+
 def back_substitute(r, z):
     """Solve ``r @ x = z`` for upper-triangular ``r``.
 

@@ -39,8 +39,7 @@ class PamSet:
     """
 
     order: int
-    levels: np.ndarray  # ascending
-    level_tuple: tuple = field(repr=False)
+    level_tuple: tuple  # ascending
     spacing: float
     se_orders: tuple = field(repr=False)
 
@@ -82,11 +81,9 @@ def build_qam(m):
         raise ValueError(f"unsupported constellation order {m}; expected one of {SUPPORTED_ORDERS}")
     n = math.isqrt(m)
     scale = 1.0 / math.sqrt(2.0 * (m - 1) / 3.0)
-    levels = np.array([(2 * k - (n - 1)) * scale for k in range(n)])
-    level_tuple = tuple(float(x) for x in levels)
+    level_tuple = tuple((2 * k - (n - 1)) * scale for k in range(n))
     pam = PamSet(
         order=n,
-        levels=levels,
         level_tuple=level_tuple,
         spacing=level_tuple[1] - level_tuple[0],
         se_orders=_se_orders(level_tuple),

@@ -8,6 +8,8 @@ from helpers import (
     random_branch_fixture,
     random_instance,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from mimo3d.counters import OpCounters
@@ -392,7 +394,7 @@ def test_tree_search_relative_rank_rule():
 def test_column_switch_none_is_identity():
     rng = derive_rng(217)
     _, eq, y = random_instance(rng, QPSK, 10.0)
-    s_zf = zf_estimate(y, eq.h_eq, qr=eq.qr)
+    s_zf = zf_estimate(eq.qr.r, eq.qr.q.T @ y)
     h_out, plan = column_switch(s_zf, eq.h_eq, "none", QPSK)
     assert h_out is eq.h_eq
     assert plan.is_identity and plan.mode == "none"
@@ -447,11 +449,12 @@ def test_all_allowed_orders_preserve_structure():
 def test_zf_estimate_noiseless_and_linear():
     rng = derive_rng(221)
     s, eq, y = random_instance(rng, QPSK, None)
-    assert np.abs(zf_estimate(y, eq.h_eq) - s).max() < 1e-8
+    q, r = eq.qr
+    assert np.abs(zf_estimate(r, q.T @ y) - s).max() < 1e-8
     y2 = rng.standard_normal(16)
     a, b = 0.7, -1.3
-    lhs = zf_estimate(a * y + b * y2, eq.h_eq, qr=eq.qr)
-    rhs = a * zf_estimate(y, eq.h_eq, qr=eq.qr) + b * zf_estimate(y2, eq.h_eq, qr=eq.qr)
+    lhs = zf_estimate(r, q.T @ (a * y + b * y2))
+    rhs = a * zf_estimate(r, q.T @ y) + b * zf_estimate(r, q.T @ y2)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -496,9 +499,13 @@ def test_tree_search_runs_on_plain_floats(order):
     assert seen and set(seen) == {(float, float)}
 
 
+# the public decoders called directly, next to the registry names
+DIRECT = {"ml_bruteforce": ml_bruteforce, "simplified_ml": simplified_ml}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("arg", ["y_tilde", "h_eq"])
-@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
 def test_registry_refuses_non_finite_input(name, arg, bad):
     rng = derive_rng(226)
     _, eq, y = random_instance(rng, QPSK, 10.0)
@@ -507,10 +514,44 @@ def test_registry_refuses_non_finite_input(name, arg, bad):
         y[3] = bad
     else:
         h_eq[5, 2] = bad
+    decode = DIRECT.get(name) or get_decoder(name)
     with pytest.raises(ValueError, match=f"^{arg} contains NaN or inf") as info:
-        get_decoder(name)(y, h_eq, QPSK)
+        decode(y, h_eq, QPSK)
     # not a RankDeficiencyError, which the sweep would swallow and resample
     assert not isinstance(info.value, RankDeficiencyError)
+
+
+def test_simplified_refuses_unknown_switch_mode():
+    _, eq, y = random_instance(derive_rng(227), QPSK, 10.0)
+    with pytest.raises(ValueError, match="unknown switch mode '8by8'"):
+        simplified_ml(y, eq.h_eq, QPSK, switch_mode="8by8")
+
+
+# (constellation order, SNR in dB).  16-QAM is drawn only at high SNR: at
+# 0 dB and below, one 16-QAM decode takes up to a second.
+METRIC_POINTS = ((4, -10.0), (4, 0.0), (4, 30.0), (4, 60.0), (16, 30.0), (16, 60.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-60, 60), point=st.sampled_from(METRIC_POINTS))
+def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point):
+    # every search decoder reaches sd-baseline's registry metric (and brute
+    # force's at QPSK) on channels scaled by 2^k, and the bare two-stage
+    # search distance equals it up to rounding
+    m, snr_db = point
+    qam = build_qam(m)
+    rng = derive_rng(seed)
+    scale = 2.0**k
+    h_eq = make_equivalent(scale * sample_channel(rng), "new").h_eq
+    s_tilde = tilde_interleave(qam.points[rng.integers(0, m, 8)])
+    noise = scale * math.sqrt(snr_to_sigma2(snr_db, qam)) * rng.standard_normal(16)
+    y = h_eq @ s_tilde + noise
+    names = SEARCH_DECODERS + (("bruteforce",) if m == 4 else ())
+    metrics = {name: get_decoder(name)(y, h_eq, qam).metric for name in names}
+    metrics["simplified_ml"] = simplified_ml(y, h_eq, qam, switch_mode="2by2").metric
+    ref = metrics["sd-baseline"]
+    for name, metric in metrics.items():
+        assert abs(metric - ref) <= 1e-9 * ref, (name, metrics)
 
 
 def test_registry_switch_resolution():

@@ -9,12 +9,12 @@ from mimo3d.modem import build_qam, nearest_qam, se_order, slice_pam
 
 def test_qpsk_levels():
     c = build_qam(4)
-    assert np.allclose(c.pam.levels, [-1 / math.sqrt(2), 1 / math.sqrt(2)])
+    assert np.allclose(c.pam.level_tuple, [-1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_16qam_levels():
     c = build_qam(16)
-    assert np.allclose(c.pam.levels, np.array([-3, -1, 1, 3]) / math.sqrt(10))
+    assert np.allclose(c.pam.level_tuple, np.array([-3, -1, 1, 3]) / math.sqrt(10))
 
 
 @pytest.mark.parametrize("m", [4, 16, 64])

@@ -4,6 +4,7 @@ import pytest
 from mimo3d import derive_rng, make_equivalent, sample_channel
 from mimo3d.code import VARIANTS, build_generator
 from mimo3d.decoders import verify_r_structure
+from mimo3d.decoders.structure import REL_TOL
 from mimo3d.linalg import check_expand_matrix, gram_schmidt_qr
 
 
@@ -12,7 +13,7 @@ def test_new_variant_passes_all_claims():
     for t in range(1000):
         eq = make_equivalent(sample_channel(rng), "new")
         rep = verify_r_structure(eq.qr.r, "new", h_eq=eq.h_eq)
-        assert rep.ok, f"trial {t}: {rep.checks} vs {rep.threshold}"
+        assert rep.ok, f"trial {t}: {rep.checks} vs {REL_TOL}"
         assert rep.expected_ok
 
 
@@ -21,12 +22,12 @@ def test_original_variant_block_claim_fails():
     for _ in range(50):
         eq = make_equivalent(sample_channel(rng), "original")
         rep = verify_r_structure(eq.qr.r, "original", h_eq=eq.h_eq)
-        assert rep.r12_block > rep.threshold
-        assert rep.gram_cross > rep.threshold
+        assert rep.r12_block > REL_TOL
+        assert rep.gram_cross > REL_TOL
         assert not rep.expected_ok
         # real/imaginary decoupling inside the diagonal blocks survives
-        assert rep.r11_zeros <= rep.threshold
-        assert rep.r22_zeros <= rep.threshold
+        assert rep.r11_zeros <= REL_TOL
+        assert rep.r22_zeros <= REL_TOL
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
@@ -38,7 +39,7 @@ def test_checks_hold_at_any_channel_scale(scale):
             eq = make_equivalent(h, variant)
             rep = verify_r_structure(eq.qr.r, variant, h_eq=eq.h_eq)
             assert rep.ok == rep.expected_ok, f"trial {t} {variant}: {rep.checks}"
-            assert (rep.gram_cross <= rep.threshold) == rep.expected_ok
+            assert (rep.gram_cross <= REL_TOL) == rep.expected_ok
 
 
 def test_report_is_report_only():
@@ -59,5 +60,5 @@ def test_quasi_static_assumption_is_required():
         h_eq[4 * t : 4 * t + 4] = h_t @ g[8 * t : 8 * t + 8]
     q, r = gram_schmidt_qr(h_eq)
     rep = verify_r_structure(r, "new", h_eq=h_eq)
-    assert rep.r12_block > rep.threshold
-    assert rep.gram_cross > rep.threshold
+    assert rep.r12_block > REL_TOL
+    assert rep.gram_cross > REL_TOL
