@@ -42,7 +42,8 @@ consistency = np.abs(
 ).max()
 print("\ncomplex path vs real equivalent model, max |diff|:", consistency)
 
-# the "new" symbol ordering is just a relabeling of the original code
-swapped = m3.permute_symbols(symbols, "new", "original")
+# the "new" symbol ordering is just a relabeling of the original code:
+# exchange (s3, s4) with (s5, s6)
+swapped = symbols[[0, 1, 4, 5, 2, 3, 6, 7]]
 same = np.array_equal(m3.encode_direct(symbols, "new"), m3.encode_direct(swapped, "original"))
 print("new codeword == original codeword of swapped symbols:", same)

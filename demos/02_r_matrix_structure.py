@@ -26,7 +26,7 @@ h = m3.sample_channel(rng)
 
 for variant in ("new", "original"):
     eq = m3.make_equivalent(h, variant)
-    rep = m3.verify_r_structure(eq.qr.r, variant, h_eq=eq.h_eq)
+    rep = m3.verify_r_structure(eq.qr.r, eq.h_eq)
     print(f"--- variant {variant} ---")
     print(mask(eq.qr.r))
     print("claims:", {k: f"{v:.1e}" for k, v in rep.checks.items()},
@@ -37,5 +37,7 @@ for variant in ("new", "original"):
 eq = m3.make_equivalent(h, "new")
 for order in ALLOWED_ORDERS:
     cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
-    _, r = gram_schmidt_qr(eq.h_eq[:, cols])
-    print("decode order", order, "->", "structure ok" if m3.verify_r_structure(r).ok else "BROKEN")
+    h_perm = eq.h_eq[:, cols]
+    _, r = gram_schmidt_qr(h_perm)
+    ok = m3.verify_r_structure(r, h_perm).ok
+    print("decode order", order, "->", "structure ok" if ok else "BROKEN")

@@ -14,7 +14,6 @@ structure of the equivalent channel's R factor.
 from .channel import (
     EquivalentChannel,
     derive_rng,
-    equivalent_matrix,
     make_equivalent,
     sample_channel,
     snr_to_sigma2,
@@ -24,13 +23,11 @@ from .code import (
     ALPHA,
     ALPHA_BAR,
     SCALE,
-    SYMBOL_SWAP,
     THETA,
     THETA_BAR,
     VARIANTS,
     build_generator,
     encode_direct,
-    permute_symbols,
 )
 from .counters import OpCounters
 from .decoders import (
@@ -41,7 +38,6 @@ from .decoders import (
     get_decoder,
     ml_bruteforce,
     parallel_decisions,
-    sd_baseline,
     simplified_ml,
     verify_r_structure,
     zf_estimate,
@@ -52,7 +48,6 @@ from .linalg import (
     check_expand_matrix,
     complex_from_interleaved,
     gram_schmidt_qr,
-    kron_identity_apply,
     tilde_interleave,
     vec_stack,
 )

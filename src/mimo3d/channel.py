@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import BLOCK_LEN, build_generator
-from .linalg import (
-    check_expand_matrix,
-    gram_schmidt_qr,
-    kron_identity_apply,
-    tilde_interleave,
-    vec_stack,
-)
+from .linalg import check_expand_matrix, gram_schmidt_qr, tilde_interleave, vec_stack
 
 N_RX = 2
 
@@ -69,19 +63,18 @@ class EquivalentChannel:
         return gram_schmidt_qr(self.h_eq)
 
 
-def equivalent_matrix(h, variant="new"):
-    """Build the 16x16 real equivalent channel matrix for a realization."""
-    h_check = check_expand_matrix(h)
-    return kron_identity_apply(h_check, BLOCK_LEN, build_generator(variant))
-
-
 def make_equivalent(h, variant="new"):
-    """Build the equivalent channel; its QR (``.qr``) is computed on first use.
+    """Build the equivalent channel of a 2x4 realization for a codeword ordering.
 
-    The decoders factor ``h_eq`` themselves, so a caller that only hands
-    ``h_eq`` to a decoder never pays for ``.qr``.
+    ``h_eq = (I_T kron check(H)) G`` is formed as one batched product: the
+    8x16 row group t of ``G`` (channel use t) is multiplied by the 4x8
+    ``check(H)``, without building the Kronecker product.  Its QR (``.qr``)
+    is computed on first use; the decoders factor ``h_eq`` themselves, so a
+    caller that only hands ``h_eq`` to a decoder never pays for it.
     """
-    return EquivalentChannel(h_eq=equivalent_matrix(h, variant))
+    g = build_generator(variant)
+    h_eq = (check_expand_matrix(h) @ g.reshape(BLOCK_LEN, -1, g.shape[1])).reshape(16, 16)
+    return EquivalentChannel(h_eq=h_eq)
 
 
 def transmit(x, h, sigma2, rng):

@@ -38,9 +38,6 @@ SCALE = 1.0 / math.sqrt(5.0)
 
 VARIANTS = ("new", "original")
 
-#: Involution exchanging (s3, s4) with (s5, s6), 0-based positions.
-SYMBOL_SWAP = (0, 1, 4, 5, 2, 3, 6, 7)
-
 N_SYMBOLS = 8
 BLOCK_LEN = 4
 
@@ -84,21 +81,6 @@ def encode_direct(s, variant="new"):
     x[2:, 2:] = g1.conj()
     x *= SCALE
     return x
-
-
-def permute_symbols(s, from_variant, to_variant):
-    """Map a symbol vector between the two codeword orderings.
-
-    The exchange of (s3, s4) with (s5, s6) is an involution, so the same
-    permutation converts in either direction;
-    ``encode_direct(s, "new") == encode_direct(permute_symbols(s, "new", "original"), "original")``.
-    """
-    _check_variant(from_variant)
-    _check_variant(to_variant)
-    s = np.asarray(s).ravel()
-    if from_variant == to_variant:
-        return s.copy()
-    return s[list(SYMBOL_SWAP)]
 
 
 @functools.lru_cache(maxsize=None)

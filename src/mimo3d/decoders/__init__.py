@@ -41,6 +41,8 @@ from .simplified import (
     simplified_ml,
     zf_estimate,
 )
+# sd_baseline is the search core of the "sd-baseline" entry: looked up here at
+# decode time, not exported
 from .sphere import sd_baseline, tree_search
 from .structure import BLOCK_ZERO_POSITIONS, StructureReport, verify_r_structure
 
@@ -57,7 +59,6 @@ __all__ = [
     "get_decoder",
     "ml_bruteforce",
     "parallel_decisions",
-    "sd_baseline",
     "simplified_ml",
     "tree_search",
     "verify_r_structure",
@@ -78,7 +79,7 @@ def _decode_baseline(y_tilde, h_eq, constellation):
     charge_qr(counters, 16, 16)
     z = q.T @ np.asarray(y_tilde, dtype=float).ravel()
     charge_matvec(counters, 16, 16)
-    result = sd_baseline(z, r, constellation, counters=counters)
+    result = sd_baseline(z, r, constellation, counters)
     return _reported_metric(result, y_tilde, h_eq)
 
 

@@ -148,7 +148,7 @@ def compute_v(z_tilde, r, c, d):
     return z[:8] - np.asarray(r, dtype=float)[:8, 8:16] @ outer
 
 
-def parallel_decisions(v, r, radius, d_outer, pam, counters=None):
+def parallel_decisions(v, r, radius, d_outer, pam, counters):
     """Four synchronized 2-dim PAM searches; returns ``(a_hat, b_hat, d_p)``.
 
     Branch b solves ``min (v1 - r11 s1 - r12 s2)^2 + (v2 - r22 s2)^2`` over
@@ -217,15 +217,14 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters=None):
         if not live:
             break
 
-    c = counters if counters is not None else OpCounters()
     steps = 0
     for b, br in enumerate(branches):
         ran = br[9] or n  # a branch that never stopped ran every step
-        c.branch_nodes[b] += ran
+        counters.branch_nodes[b] += ran
         steps += ran
     decided = steps - (4 - len(live))  # every step but a stopping one slices s1
-    c.mults += 2 * steps + 3 * decided
-    c.divs += 4 + decided
+    counters.mults += 2 * steps + 3 * decided
+    counters.divs += 4 + decided
     b0, b1, b2, b3 = branches
     a_hat = (b0[7], b1[7], b0[8], b1[8])
     b_hat = (b2[7], b3[7], b2[8], b3[8])
@@ -282,7 +281,7 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     def leaf(s_outer, d_leaf, radius):
         v = compute_v(z, qr.r, s_outer[:4], s_outer[4:])
         counters.mults += 64
-        a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters=counters)
+        a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters)
         return d_p, (a_hat, b_hat)
 
     best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], tables, leaf, counters)

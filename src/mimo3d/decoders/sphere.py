@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from ..counters import OpCounters
 from ..linalg import complex_from_interleaved, require_full_rank
 from ..modem import PamSet, se_order
 from .result import DecodeResult
@@ -98,16 +97,16 @@ def tree_search(z, r, order, leaf_fn, counters):
     return best, best_payload, radius
 
 
-def sd_baseline(z_tilde, r, constellation, counters=None):
+def sd_baseline(z_tilde, r, constellation, counters):
     """Exact ML search of ``min ||z - R s||^2`` over all 16 real dimensions.
 
-    ``r`` must be upper triangular with positive diagonal
-    (``gram_schmidt_qr`` output).
+    The search core of the ``sd-baseline`` registry entry, which checks the
+    input, rotates it and charges the QR to ``counters`` first; ``r`` must be
+    upper triangular with positive diagonal (``gram_schmidt_qr`` output).
     """
-    c = counters if counters is not None else OpCounters()
-    best, _, metric = tree_search(z_tilde, r, constellation.pam, None, c)
+    best, _, metric = tree_search(z_tilde, r, constellation.pam, None, counters)
     return DecodeResult(
         symbols=complex_from_interleaved(np.array(best)),
         metric=metric,
-        counters=c,
+        counters=counters,
     )

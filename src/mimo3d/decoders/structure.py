@@ -14,14 +14,15 @@ same inner products vanish already at the Gram level, ``<h_j, h_k> = 0`` for
 columns j = 1..4, k = 5..8, which is what the checks below measure.  Every
 check is relative to its own scale (``max|R|`` for entries of R,
 ``max|H_eq|^2`` for Gram entries), so it holds at any channel scale.
-:func:`verify_r_structure` is report-only; the original symbol ordering is
-expected to violate the block-zero claim.  :func:`gram_cross` alone is the
-guard the two-stage decoder runs on its input.
+:func:`verify_r_structure` is report-only.  The original symbol ordering
+keeps the real/imaginary decoupling but breaks the claims named in
+``ORIGINAL_BREAKS``.  :func:`gram_cross` alone is the guard the two-stage
+decoder runs on its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +30,10 @@ import numpy as np
 BLOCK_ZERO_POSITIONS = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 REL_TOL = 1e-9
+
+# The claims the original codeword ordering breaks on a generic channel; it
+# keeps the two within-block patterns.
+ORIGINAL_BREAKS = ("r12_block", "gram_cross")
 
 
 def _relative(value, scale):
@@ -49,40 +54,30 @@ class StructureReport:
     """Largest relative violation per claim; a claim holds at or below
     ``REL_TOL``."""
 
-    variant: str
-    r12_block: float          # max |R[0:4, 4:8]| / max |R|
-    r11_zeros: float          # max over BLOCK_ZERO_POSITIONS in R[0:4, 0:4], / max |R|
-    r22_zeros: float          # same pattern in R[4:8, 4:8]
-    gram_cross: float | None  # gram_cross(h_eq), if h_eq given
+    r12_block: float   # max |R[0:4, 4:8]| / max |R|
+    r11_zeros: float   # max over BLOCK_ZERO_POSITIONS in R[0:4, 0:4], / max |R|
+    r22_zeros: float   # same pattern in R[4:8, 4:8]
+    gram_cross: float  # gram_cross(h_eq)
 
     @property
     def checks(self):
-        out = {
-            "r12_block": self.r12_block,
-            "r11_zeros": self.r11_zeros,
-            "r22_zeros": self.r22_zeros,
-        }
-        if self.gram_cross is not None:
-            out["gram_cross"] = self.gram_cross
-        return out
+        """Every claim by name, in field order."""
+        return asdict(self)
 
     @property
     def ok(self):
         return all(v <= REL_TOL for v in self.checks.values())
 
-    @property
-    def expected_ok(self):
-        return self.variant == "new"
 
-
-def verify_r_structure(r, variant="new", h_eq=None):
-    """Measure the asserted-zero entries of R (and optionally the Gram block).
+def verify_r_structure(r, h_eq):
+    """Measure the asserted-zero entries of ``r``, the R factor of ``h_eq``,
+    and the Gram cross block of ``h_eq``.
 
     Entries of R are measured relative to ``max|R|``, the Gram block by
     :func:`gram_cross`; a claim holds at or below ``REL_TOL``.  Never raises;
-    callers decide what a failure means (for variant "new" it is a bug or a
-    non-quasi-static channel, for "original" it is the expected outcome of
-    the block claim).
+    callers decide what a failure means: for the "new" ordering it is a bug
+    or a non-quasi-static channel, for the original ordering a failure of
+    the claims in ``ORIGINAL_BREAKS`` is the expected outcome.
     """
     r = np.asarray(r, dtype=float)
     r_max = float(np.abs(r).max())
@@ -90,9 +85,8 @@ def verify_r_structure(r, variant="new", h_eq=None):
     r11 = max(abs(float(r[i, j])) for i, j in BLOCK_ZERO_POSITIONS)
     r22 = max(abs(float(r[4 + i, 4 + j])) for i, j in BLOCK_ZERO_POSITIONS)
     return StructureReport(
-        variant=variant,
         r12_block=_relative(r12, r_max),
         r11_zeros=_relative(r11, r_max),
         r22_zeros=_relative(r22, r_max),
-        gram_cross=None if h_eq is None else gram_cross(h_eq),
+        gram_cross=gram_cross(h_eq),
     )

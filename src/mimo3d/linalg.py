@@ -80,26 +80,6 @@ def vec_stack(m):
     return np.asarray(m).T.ravel()
 
 
-def kron_identity_apply(block, t, m):
-    """Compute ``(I_t kron block) @ m`` without forming the Kronecker product.
-
-    ``block`` is (p, q); ``m`` must have ``t * q`` rows.  The result is the
-    (t*p, cols) matrix obtained by applying ``block`` to each of the t
-    row-groups of ``m``.
-    """
-    block = np.asarray(block, dtype=float)
-    m = np.asarray(m, dtype=float)
-    p, q = block.shape
-    if m.shape[0] != t * q:
-        raise ValueError(
-            f"dimension mismatch: (I_{t} kron {p}x{q}) needs {t * q} rows, got {m.shape[0]}"
-        )
-    out = np.empty((t * p, m.shape[1]))
-    for i in range(t):
-        out[i * p : (i + 1) * p] = block @ m[i * q : (i + 1) * q]
-    return out
-
-
 def gram_schmidt_qr(a):
     """Thin QR of a tall matrix with independent columns, positive diagonal.
 
@@ -133,13 +113,16 @@ def require_full_rank(diag):
     """Raise :class:`RankDeficiencyError` unless every entry of ``diag``, the
     diagonal (or part of it) of an R factor, is positive and at least
     ``RANK_TOL`` times the largest entry: ``r_jj < RANK_TOL * max_k r_kk``
-    is rank deficiency at any scale."""
+    is rank deficiency at any scale.  A NaN entry fails the rule."""
     top = max(diag)
     floor = RANK_TOL * top
-    if min(diag) >= floor > 0.0:  # the common case, without a Python-level loop
+    # the common case, without a Python-level loop; min and max skip a NaN
+    # that is not first, the sum is NaN if any entry is
+    total = sum(diag)
+    if min(diag) >= floor > 0.0 and total == total:
         return
     for j, d in enumerate(diag):
-        if d <= 0.0 or d < floor:
+        if not (d > 0.0 and d >= floor):  # also true for a NaN entry or floor
             raise RankDeficiencyError(
                 f"column {j} numerically dependent (R diagonal {d:.3e}, largest {top:.3e})"
             )

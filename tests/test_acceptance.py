@@ -13,6 +13,7 @@ from helpers import branch_oracle, random_branch_fixture, random_instance
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel
 from mimo3d.cli import main
+from mimo3d.counters import OpCounters
 from mimo3d.decoders import (
     BRANCH_DIMS,
     get_decoder,
@@ -91,7 +92,7 @@ def test_criterion_1_structure_theorems():
     worst = 0.0
     for t in range(trials):
         eq = make_equivalent(sample_channel(derive_rng(9004, t)), "new")
-        rep = verify_r_structure(eq.qr.r, "new", h_eq=eq.h_eq)
+        rep = verify_r_structure(eq.qr.r, eq.h_eq)
         worst = max(worst, max(rep.checks.values()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -132,7 +133,7 @@ def test_criterion_4_branch_oracle():
         rng = derive_rng(9005, pam_order)
         for _ in range(count):
             v, r = random_branch_fixture(rng, pam)
-            a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam)
+            a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
             decided = [
                 (a_hat[0], a_hat[2]), (a_hat[1], a_hat[3]),
                 (b_hat[0], b_hat[2]), (b_hat[1], b_hat[3]),

@@ -11,9 +11,10 @@ from mimo3d import (
     snr_to_sigma2,
     transmit,
 )
+from mimo3d.code import build_generator
 from mimo3d.decoders import verify_r_structure
 from mimo3d.decoders.structure import REL_TOL
-from mimo3d.linalg import gram_schmidt_qr, tilde_interleave, vec_stack
+from mimo3d.linalg import check_expand_matrix, gram_schmidt_qr, tilde_interleave, vec_stack
 
 
 def test_channel_unit_average_power():
@@ -43,6 +44,9 @@ def test_equivalent_channel_matches_complex_path():
         for _ in range(50):
             h = sample_channel(rng)
             eq = make_equivalent(h, variant)
+            # the definition, with the Kronecker product formed explicitly
+            kron = np.kron(np.eye(4), check_expand_matrix(h)) @ build_generator(variant)
+            assert np.abs(eq.h_eq - kron).max() < 1e-12
             s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             lhs = eq.h_eq @ tilde_interleave(s)
             rhs = tilde_interleave(vec_stack(h @ encode_direct(s, variant)))
@@ -57,15 +61,16 @@ def test_equivalent_channel_gram_zero_block():
     assert np.abs(cross).max() < 1e-9 * np.abs(eq.qr.r).max()
     # the original symbol ordering does not have this orthogonality
     eq_orig = make_equivalent(h, "original")
-    rep = verify_r_structure(eq_orig.qr.r, "original", h_eq=eq_orig.h_eq)
+    rep = verify_r_structure(eq_orig.qr.r, eq_orig.h_eq)
     assert rep.gram_cross > REL_TOL
 
 
 def test_variants_give_different_zero_pattern():
     rng = derive_rng(103)
     h = sample_channel(rng)
-    rep_new = verify_r_structure(make_equivalent(h, "new").qr.r, "new")
-    rep_orig = verify_r_structure(make_equivalent(h, "original").qr.r, "original")
+    eq_new, eq_orig = make_equivalent(h, "new"), make_equivalent(h, "original")
+    rep_new = verify_r_structure(eq_new.qr.r, eq_new.h_eq)
+    rep_orig = verify_r_structure(eq_orig.qr.r, eq_orig.h_eq)
     assert rep_new.ok
     assert rep_orig.r12_block > REL_TOL
 

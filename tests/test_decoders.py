@@ -22,12 +22,12 @@ from mimo3d.decoders import (
     get_decoder,
     ml_bruteforce,
     parallel_decisions,
-    sd_baseline,
     simplified_ml,
     tree_search,
     verify_r_structure,
     zf_estimate,
 )
+from mimo3d.decoders.sphere import sd_baseline
 from mimo3d.linalg import RankDeficiencyError, gram_schmidt_qr, tilde_interleave
 
 QPSK = build_qam(4)
@@ -170,8 +170,8 @@ def test_switch_modes_agree_per_instance():
 
 def test_cross_branch_termination_is_transparent(monkeypatch):
     # an infinite radius turns the cross-branch test off
-    def no_cross_stop(v, r, radius, d_outer, pam, counters=None):
-        return parallel_decisions(v, r, math.inf, d_outer, pam, counters=counters)
+    def no_cross_stop(v, r, radius, d_outer, pam, counters):
+        return parallel_decisions(v, r, math.inf, d_outer, pam, counters)
 
     rng = derive_rng(209)
     instances = [random_instance(rng, QAM16, 4.0 + (i % 12)) for i in range(60)]
@@ -246,7 +246,7 @@ def test_parallel_decisions_branch_oracle(pam_order):
     rng = derive_rng(214, pam_order)
     for _ in range(2000):
         v, r = random_branch_fixture(rng, pam)
-        a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam)
+        a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
         decided = [
             (a_hat[0], a_hat[2]), (a_hat[1], a_hat[3]),
             (b_hat[0], b_hat[2]), (b_hat[1], b_hat[3]),
@@ -266,7 +266,7 @@ def test_parallel_decisions_visit_bound():
     rng = derive_rng(215)
     v, r = random_branch_fixture(rng, pam)
     counters = OpCounters()
-    parallel_decisions(v, r, math.inf, 0.0, pam, counters=counters)
+    parallel_decisions(v, r, math.inf, 0.0, pam, counters)
     assert all(n <= pam.order for n in counters.branch_nodes)
 
 
@@ -276,19 +276,19 @@ def test_parallel_decisions_degenerate_diagonal():
     v, r = random_branch_fixture(rng, pam)
     r[2, 2] = 0.0
     with pytest.raises(RankDeficiencyError):
-        parallel_decisions(v, r, math.inf, 0.0, pam)
+        parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
 
 
 def test_parallel_decisions_relative_rank_rule():
     pam = QAM16.pam
     v, r = random_branch_fixture(derive_rng(229), pam)
     scale = 2.0**-46
-    got = parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam)
-    want = parallel_decisions(v, r, math.inf, 0.0, pam)
+    got = parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam, OpCounters())
+    want = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
     assert got[:2] == want[:2] and got[2] == want[2] * scale**2
     r[6, 6] = 1e-13 * np.diag(r)[:8].max()
     with pytest.raises(RankDeficiencyError):
-        parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam)
+        parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam, OpCounters())
 
 
 def _tie_branch_fixture(rng, pam):
@@ -323,7 +323,7 @@ def test_parallel_decisions_matches_lockstep_oracle(m):
         cross = t % 8 != 0
         got_c, want_c, plain_c = OpCounters(), OpCounters(), OpCounters()
         # radius=math.inf turns the cross-branch test off, as cross=False does
-        got = parallel_decisions(v, r, radius if cross else math.inf, d_outer, pam, counters=got_c)
+        got = parallel_decisions(v, r, radius if cross else math.inf, d_outer, pam, got_c)
         want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c, cross)
         assert got == want  # a_hat, b_hat and d_p, exactly
         assert got_c == want_c  # branch_nodes, mults, divs (tree counters untouched)
@@ -345,11 +345,63 @@ def test_parallel_decisions_sums_finished_branches_in_branch_order():
         r[i1, i1], r[i2, i2] = 1.0, (10.0 if b < 3 else 1.0)
     radius = 46.30445035288266
     got_c, want_c = OpCounters(), OpCounters()
-    got = parallel_decisions(v, r, radius, 0.0, pam, counters=got_c)
+    got = parallel_decisions(v, r, radius, 0.0, pam, got_c)
     want = parallel_decisions_lockstep(v, r, radius, 0.0, pam, want_c)
     assert got == want
     assert got_c == want_c
     assert got_c.branch_nodes == [3, 3, 2, 4]
+
+
+PAMS = {m: build_qam(m).pam for m in (4, 16, 64)}
+
+
+@st.composite
+def branch_inputs(draw):
+    """(pam, v, R, d_outer, radius) for the parallel decisions.  Diagonal
+    entries are drawn from powers of two as well, and v from PAM levels and
+    midpoints times them, so that slicing arguments and S-E estimates land
+    exactly on midpoints; with r12 = 0 candidates then tie in distance."""
+    pam = PAMS[draw(st.sampled_from(sorted(PAMS)))]
+    levels = pam.level_tuple
+    targets = levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
+    diag = st.sampled_from((0.25, 0.5, 1.0, 2.0)) | st.floats(0.05, 4.0)
+    r = np.zeros((16, 16))
+    v = np.zeros(8)
+    for i1, i2 in BRANCH_DIMS:
+        r[i1, i1], r[i2, i2] = draw(diag), draw(diag)
+        r[i1, i2] = draw(st.just(0.0) | st.floats(-2.0, 2.0))
+        for i in (i1, i2):
+            v[i] = draw(st.sampled_from(targets).map(lambda x, d=r[i, i]: x * d)
+                        | st.floats(-6.0, 6.0))
+    free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
+    d_outer = free * draw(st.floats(0.0, 1.0))
+    share = draw(st.none() | st.floats(0.0, 1.5))  # None: infinite radius
+    radius = math.inf if share is None else d_outer + free * share
+    return pam, v, r, d_outer, radius
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(branch_inputs())
+def test_parallel_decisions_equal_lockstep_property(case):
+    pam, v, r, d_outer, radius = case
+    got_c, want_c = OpCounters(), OpCounters()
+    got = parallel_decisions(v, r, radius, d_outer, pam, got_c)
+    want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c)
+    assert got == want  # a_hat, b_hat and d_p, exactly
+    assert got_c == want_c
+
+
+def test_search_stages_refuse_nan_diagonal():
+    # a NaN on the diagonal is rank deficiency, not a failure inside slicing
+    rng = np.random.default_rng(13)
+    r = np.triu(rng.standard_normal((8, 8))) + 3.0 * np.eye(8)
+    r[3, 3] = math.nan
+    with pytest.raises(RankDeficiencyError):
+        tree_search(rng.standard_normal(8), r, QPSK.pam, None, OpCounters())
+    v, r = random_branch_fixture(derive_rng(216), QPSK.pam)
+    r[0, 0] = math.nan
+    with pytest.raises(RankDeficiencyError):
+        parallel_decisions(v, r, math.inf, 0.0, QPSK.pam, OpCounters())
 
 
 @pytest.mark.parametrize("m", [4, 16])
@@ -442,8 +494,9 @@ def test_all_allowed_orders_preserve_structure():
         _, eq, _ = random_instance(rng, QPSK, 10.0)
         for order in ALLOWED_ORDERS:
             cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
-            q, r = gram_schmidt_qr(eq.h_eq[:, cols])
-            assert verify_r_structure(r, "new").ok
+            h_perm = eq.h_eq[:, cols]
+            q, r = gram_schmidt_qr(h_perm)
+            assert verify_r_structure(r, h_perm).ok
 
 
 def test_zf_estimate_noiseless_and_linear():
@@ -587,6 +640,6 @@ def test_sd_baseline_core_signature():
     rng = derive_rng(223)
     s, eq, y = random_instance(rng, QPSK, 15.0)
     z = eq.qr.q.T @ y
-    res = sd_baseline(z, eq.qr.r, QPSK)
+    res = sd_baseline(z, eq.qr.r, QPSK, OpCounters())
     direct = np.sum((y - eq.h_eq @ tilde_interleave(res.symbols)) ** 2)
     assert abs(res.metric - direct) < 1e-9

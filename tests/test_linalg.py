@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mimo3d.linalg import (
     check_expand_matrix,
     complex_from_interleaved,
     gram_schmidt_qr,
-    kron_identity_apply,
+    require_full_rank,
     tilde_interleave,
     vec_stack,
 )
@@ -61,30 +63,6 @@ def test_vec_stack():
     assert np.array_equal(vec_stack([[5], [6]]), [5, 6])
     m = np.arange(12.0).reshape(3, 4)
     assert np.array_equal(vec_stack(m).reshape(4, 3).T, m)  # vec then reshape round-trips
-
-
-def test_kron_identity_apply_trivial():
-    rng = np.random.default_rng(3)
-    block = rng.standard_normal((3, 2))
-    m = rng.standard_normal((2, 5))
-    assert np.allclose(kron_identity_apply(block, 1, m), block @ m)
-    eye_in = rng.standard_normal((6, 2))
-    assert np.allclose(kron_identity_apply(np.eye(3), 2, eye_in), eye_in)
-
-
-def test_kron_identity_apply_matches_explicit_kron():
-    rng = np.random.default_rng(4)
-    block = rng.standard_normal((4, 8))
-    m = rng.standard_normal((32, 16))
-    fast = kron_identity_apply(block, 4, m)
-    explicit = np.kron(np.eye(4), block) @ m
-    assert fast.shape == (16, 16)
-    assert np.abs(fast - explicit).max() < 1e-12
-
-
-def test_kron_identity_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kron_identity_apply(np.eye(3), 2, np.zeros((5, 1)))
 
 
 def test_gram_schmidt_identity():
@@ -143,6 +121,13 @@ def test_gram_schmidt_rank_rule_is_relative(scale):
     a[:, 5] = a[:, 2]
     with pytest.raises(RankDeficiencyError):
         gram_schmidt_qr(a * scale)
+
+
+@pytest.mark.parametrize("diag", [[math.nan, 1.0], [1.0, math.nan], [math.nan] * 3])
+def test_rank_rule_fails_nan_entries(diag):
+    # min and max skip a NaN that is not first; the rule must not
+    with pytest.raises(RankDeficiencyError):
+        require_full_rank(diag)
 
 
 def test_gram_schmidt_result_type():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import se_order_walk
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimo3d.modem import build_qam, nearest_qam, se_order, slice_pam
 
@@ -150,6 +152,40 @@ def test_se_order_64qam_near_levels_and_midpoints_nondecreasing():
         assert sorted(order) == list(pam.level_tuple)
         dists = [abs(x - lvl) for lvl in order]
         assert all(b >= a - tol for a, b in zip(dists, dists[1:])), x
+
+
+@st.composite
+def near_level_or_midpoint(draw, m):
+    """A point up to 64 ``math.nextafter`` steps from a PAM level or
+    midpoint, or anywhere in twice the PAM range."""
+    levels = build_qam(m).pam.level_tuple
+    centres = levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
+    x = draw(st.sampled_from(centres))
+    steps = draw(st.integers(-64, 64))
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return draw(st.just(x) | st.floats(2 * levels[0], 2 * levels[-1]))
+
+
+@pytest.mark.parametrize("m", [4, 16])
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_se_order_equals_walk_property(m, data):
+    pam = build_qam(m).pam
+    x = data.draw(near_level_or_midpoint(m))
+    assert se_order(x, pam) == se_order_walk(x, pam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(x=near_level_or_midpoint(64))
+def test_se_order_64qam_within_one_ulp_of_walk_property(x):
+    # the one-ulp exception in the se_order docstring: position by position,
+    # the two orders' distances from x differ by at most one ulp
+    pam = build_qam(64).pam
+    got, want = se_order(x, pam), se_order_walk(x, pam)
+    assert got[0] == want[0] and sorted(got) == sorted(want)
+    tol = math.ulp(pam.level_tuple[-1])
+    assert all(abs(abs(x - a) - abs(x - b)) <= tol for a, b in zip(got, want))
 
 
 def test_nearest_qam_fixed_points():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ def test_snr_points():
     dict(modulation="16qam", decoders=("bruteforce",)),
     dict(workers=0),
     dict(decoders=("simplified-cs8",)),
+    # a non-finite bound or step would make snr_points loop forever
+    dict(snr_step=math.nan),
+    dict(snr_stop=math.inf),
+    dict(snr_start=math.nan),
+    dict(snr_start=-math.inf),
+    dict(snr_step=math.inf),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
