@@ -38,6 +38,5 @@ eq = m3.make_equivalent(h, "new")
 for order in ALLOWED_ORDERS:
     cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
     h_perm = eq.h_eq[:, cols]
-    _, r = gram_schmidt_qr(h_perm)
-    ok = m3.verify_r_structure(r, h_perm).ok
+    ok = m3.verify_r_structure(gram_schmidt_qr(h_perm).r, h_perm).ok
     print("decode order", order, "->", "structure ok" if ok else "BROKEN")

@@ -26,7 +26,7 @@ _, y_tilde = m3.transmit(x, h, sigma2, rng)
 print(f"QPSK at {SNR_DB} dB, sigma^2 = {sigma2:.3f}")
 print("transmitted:", symbols)
 
-s_zf = zf_estimate(eq.qr.r, eq.qr.q.T @ y_tilde)
+s_zf = zf_estimate(eq.h_eq, y_tilde)
 print("\nzero-forcing estimate:", np.round(s_zf, 3))
 _, plan = column_switch(s_zf, eq.h_eq, "2by2", qam)
 print("column-switch decode order:", plan.order)

@@ -55,7 +55,8 @@ class EquivalentChannel:
 
     @functools.cached_property
     def qr(self):
-        """QR factors of ``h_eq``, computed on first access and then kept.
+        """``gram_schmidt_qr(h_eq)``, computed on first access and then kept:
+        ``.r`` is the R factor (no ``y`` is rotated, so ``.z`` is None).
 
         Raises :class:`~mimo3d.linalg.RankDeficiencyError` for a degenerate
         realization.

@@ -13,6 +13,13 @@ is defined):
   count, whichever routine computes the factor), the rotation
   ``z = Q^T y`` costs ``m * n`` mults, and a back-substitution costs
   ``n (n - 1) / 2`` mults plus ``n`` divs.
+* The charges follow the paper's preprocessing sequence, not the code's.
+  The two-stage decoder is charged a QR, a rotation and a back-substitution
+  for its zero-forcing estimate, plus a second QR and rotation after a
+  non-identity column switch; the code runs one LU solve for the estimate
+  and then one Householder pass that factors the chosen channel and rotates
+  ``y`` together.  ``sd-baseline`` is charged a QR and a rotation for that
+  same single pass.
 * A *visited node* is one candidate assignment: at a tree level
   (``tree_nodes``) or at one step of a parallel decision branch
   (``branch_nodes``).  The reported aggregate is

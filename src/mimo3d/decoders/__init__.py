@@ -75,9 +75,8 @@ def _reported_metric(result, y_tilde, h_eq):
 def _decode_baseline(y_tilde, h_eq, constellation):
     require_finite(y_tilde, h_eq)
     counters = OpCounters()
-    q, r = gram_schmidt_qr(h_eq)
+    r, z = gram_schmidt_qr(h_eq, y_tilde)
     charge_qr(counters, 16, 16)
-    z = q.T @ np.asarray(y_tilde, dtype=float).ravel()
     charge_matvec(counters, 16, 16)
     result = sd_baseline(z, r, constellation, counters)
     return _reported_metric(result, y_tilde, h_eq)

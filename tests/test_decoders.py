@@ -201,8 +201,7 @@ def test_metric_decomposition():
     rng = derive_rng(211)
     for _ in range(30):
         s, eq, y = random_instance(rng, QAM16, 12.0)
-        q, r = eq.qr
-        z = q.T @ y
+        r, z = gram_schmidt_qr(eq.h_eq, y)
         st = tilde_interleave(QAM16.points[rng.integers(0, 16, 8)])
         a, b, c, d = st[0:4], st[4:8], st[8:12], st[12:16]
         full = np.sum((z - r @ st) ** 2)
@@ -219,8 +218,7 @@ def test_metric_decomposition():
 def test_compute_v_basics():
     rng = derive_rng(212)
     _, eq, y = random_instance(rng, QPSK, 10.0)
-    z = eq.qr.q.T @ y
-    r = eq.qr.r
+    r, z = gram_schmidt_qr(eq.h_eq, y)
     zero4 = np.zeros(4)
     assert np.array_equal(compute_v(z, r, zero4, zero4), z[:8])
     c1, d1 = rng.standard_normal(4), rng.standard_normal(4)
@@ -233,10 +231,10 @@ def test_compute_v_basics():
 def test_compute_v_noiseless_forward_model():
     rng = derive_rng(213)
     s, eq, y = random_instance(rng, QPSK, None)
-    z = eq.qr.q.T @ y
+    r, z = gram_schmidt_qr(eq.h_eq, y)
     st = tilde_interleave(s)
-    v = compute_v(z, eq.qr.r, st[8:12], st[12:16])
-    expected = eq.qr.r[0:8, 0:8] @ st[0:8]  # R12 block is (numerically) zero
+    v = compute_v(z, r, st[8:12], st[12:16])
+    expected = r[0:8, 0:8] @ st[0:8]  # R12 block is (numerically) zero
     assert np.abs(v - expected).max() < 1e-10
 
 
@@ -422,11 +420,15 @@ def test_search_decoders_are_scale_free(m):
 @pytest.mark.parametrize("scale", [2.0**-46, 1.0, 2.0**46])
 def test_equal_columns_raise_at_every_scale(scale):
     _, eq, y = random_instance(derive_rng(228), QAM16, 12.0)
-    h = eq.h_eq.copy()
-    h[:, 2] = h[:, 0]  # keeps the zero Gram cross block of the "new" ordering
-    for name in SEARCH_DECODERS:
-        with pytest.raises(RankDeficiencyError):
-            get_decoder(name)(y * scale, h * scale, QAM16)
+    # both keep the zero Gram cross block of the "new" ordering; the zero
+    # column makes h_eq exactly singular, which the zero-forcing solve meets
+    # before any factorization
+    for column in ("equal", "zero"):
+        h = eq.h_eq.copy()
+        h[:, 2] = h[:, 0] if column == "equal" else 0.0
+        for name in SEARCH_DECODERS:
+            with pytest.raises(RankDeficiencyError):
+                get_decoder(name)(y * scale, h * scale, QAM16)
 
 
 def test_tree_search_relative_rank_rule():
@@ -446,7 +448,7 @@ def test_tree_search_relative_rank_rule():
 def test_column_switch_none_is_identity():
     rng = derive_rng(217)
     _, eq, y = random_instance(rng, QPSK, 10.0)
-    s_zf = zf_estimate(eq.qr.r, eq.qr.q.T @ y)
+    s_zf = zf_estimate(eq.h_eq, y)
     h_out, plan = column_switch(s_zf, eq.h_eq, "none", QPSK)
     assert h_out is eq.h_eq
     assert plan.is_identity and plan.mode == "none"
@@ -495,19 +497,18 @@ def test_all_allowed_orders_preserve_structure():
         for order in ALLOWED_ORDERS:
             cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
             h_perm = eq.h_eq[:, cols]
-            q, r = gram_schmidt_qr(h_perm)
-            assert verify_r_structure(r, h_perm).ok
+            assert verify_r_structure(gram_schmidt_qr(h_perm).r, h_perm).ok
 
 
 def test_zf_estimate_noiseless_and_linear():
     rng = derive_rng(221)
     s, eq, y = random_instance(rng, QPSK, None)
-    q, r = eq.qr
-    assert np.abs(zf_estimate(r, q.T @ y) - s).max() < 1e-8
+    h = eq.h_eq
+    assert np.abs(zf_estimate(h, y) - s).max() < 1e-8
     y2 = rng.standard_normal(16)
     a, b = 0.7, -1.3
-    lhs = zf_estimate(r, q.T @ (a * y + b * y2))
-    rhs = a * zf_estimate(r, q.T @ y) + b * zf_estimate(r, q.T @ y2)
+    lhs = zf_estimate(h, a * y + b * y2)
+    rhs = a * zf_estimate(h, y) + b * zf_estimate(h, y2)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -538,7 +539,7 @@ def test_tree_search_runs_on_plain_floats(order):
     # float, so the per-node arithmetic never runs as NumPy scalars
     rng = derive_rng(225)
     _, eq, y = random_instance(rng, QAM16, 12.0)
-    z = eq.qr.q.T @ y
+    r, z = gram_schmidt_qr(eq.h_eq, y)
     pam = QAM16.pam
     policy = pam if order == "centred" else [pam.level_tuple] * 16
     seen = []
@@ -547,7 +548,7 @@ def test_tree_search_runs_on_plain_floats(order):
         seen.append((type(d_leaf), type(radius)))
         return 0.0, None
 
-    _, _, dist = tree_search(z, eq.qr.r, policy, leaf, OpCounters())
+    _, _, dist = tree_search(z, r, policy, leaf, OpCounters())
     assert type(dist) is float
     assert seen and set(seen) == {(float, float)}
 
@@ -607,6 +608,32 @@ def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point
         assert abs(metric - ref) <= 1e-9 * ref, (name, metrics)
 
 
+# (constellation order, SNR in dB) for ill-conditioned channels; 16-QAM only
+# at 20 dB and above, where one decode stays short
+ILL_POINTS = ((4, 0.0), (4, 10.0), (4, 20.0), (16, 20.0), (16, 30.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(seed=st.integers(0, 2**32 - 1), column=st.integers(0, 15), k=st.integers(10, 30),
+       point=st.sampled_from(ILL_POINTS))
+def test_search_decoders_reach_the_ml_metric_on_ill_conditioned_channels(seed, column, k, point):
+    # one real column of h_eq scaled by 2^-k: cond(h_eq) from about 1e3 to
+    # 5e9, and the R structure the two-stage decoder relies on still holds
+    m, snr_db = point
+    qam = build_qam(m)
+    rng = derive_rng(seed)
+    h_eq = make_equivalent(sample_channel(rng), "new").h_eq
+    h_eq[:, column] *= 2.0**-k
+    assert verify_r_structure(gram_schmidt_qr(h_eq).r, h_eq).ok
+    s_tilde = tilde_interleave(qam.points[rng.integers(0, m, 8)])
+    y = h_eq @ s_tilde + math.sqrt(snr_to_sigma2(snr_db, qam)) * rng.standard_normal(16)
+    names = SEARCH_DECODERS + (("bruteforce",) if m == 4 else ())
+    metrics = {name: get_decoder(name)(y, h_eq, qam).metric for name in names}
+    ref = metrics["bruteforce"] if m == 4 else metrics["sd-baseline"]
+    for name, metric in metrics.items():
+        assert abs(metric - ref) <= 1e-9 * ref, (name, metrics)
+
+
 def test_registry_switch_resolution():
     # the registry name is the only way to pick a switch mode
     rng = derive_rng(222)
@@ -639,7 +666,7 @@ def test_sd_baseline_core_signature():
     # the core works on (z, R) directly; metric is the rotated-domain residual
     rng = derive_rng(223)
     s, eq, y = random_instance(rng, QPSK, 15.0)
-    z = eq.qr.q.T @ y
-    res = sd_baseline(z, eq.qr.r, QPSK, OpCounters())
+    r, z = gram_schmidt_qr(eq.h_eq, y)
+    res = sd_baseline(z, r, QPSK, OpCounters())
     direct = np.sum((y - eq.h_eq @ tilde_interleave(res.symbols)) ** 2)
     assert abs(res.metric - direct) < 1e-9

@@ -66,43 +66,66 @@ def test_vec_stack():
 
 
 def test_gram_schmidt_identity():
-    q, r = gram_schmidt_qr(np.eye(4))
-    assert np.array_equal(q, np.eye(4))
+    r, z = gram_schmidt_qr(np.eye(4), [1.0, -2.0, 3.0, -4.0])
     assert np.array_equal(r, np.eye(4))
+    assert np.array_equal(z, [1.0, -2.0, 3.0, -4.0])
+    assert gram_schmidt_qr(np.eye(4)).z is None
 
 
 def test_gram_schmidt_single_column():
-    q, r = gram_schmidt_qr(np.array([[3.0], [4.0]]))
-    assert np.allclose(q, [[0.6], [0.8]])
+    r, z = gram_schmidt_qr(np.array([[3.0], [4.0]]), [1.0, 2.0])
     assert np.allclose(r, [[5.0]])
+    assert np.allclose(z, [2.2])  # <(0.6, 0.8), (1, 2)>
+
+
+def _check_factor(a, y, r, z, tol):
+    # R^T R = A^T A and R^T z = A^T y hold for A = Q R, z = Q^T y with any
+    # orthonormal Q, and pin down the positive-diagonal R and z
+    scale = np.abs(a).max()
+    assert np.abs(r.T @ r - a.T @ a).max() <= tol * scale**2
+    assert np.abs(r.T @ z - a.T @ y).max() <= tol * scale * np.abs(y).max()
+    assert (np.diag(r) > 0).all()
+    assert np.array_equal(np.tril(r, -1), np.zeros_like(r))  # exact zeros below
 
 
 def test_gram_schmidt_random_matrices():
     rng = np.random.default_rng(5)
-    eye = np.eye(16)
     for _ in range(1000):
         a = rng.standard_normal((16, 16))
-        q, r = gram_schmidt_qr(a)
-        assert np.abs(q.T @ q - eye).max() <= 1e-10
-        assert np.abs(q @ r - a).max() <= 1e-9
-        assert (np.diag(r) >= 0).all()
-        assert np.array_equal(np.tril(r, -1), np.zeros((16, 16)))  # exact zeros below
+        y = rng.standard_normal(16)
+        r, z = gram_schmidt_qr(a, y)
+        _check_factor(a, y, r, z, 1e-12)
+        # Q is square, so the rotation keeps the norm
+        assert abs(np.linalg.norm(z) - np.linalg.norm(y)) <= 1e-12 * np.linalg.norm(y)
+        # without y: the same factor, up to the rounding of the wider pass
+        assert np.abs(gram_schmidt_qr(a).r - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def test_gram_schmidt_tall_matrix():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((7, 4))
+    y = rng.standard_normal(7)
+    r, z = gram_schmidt_qr(a, y)
+    _check_factor(a, y, r, z, 1e-12)
+    # z is the projection of y on range(A) in the basis Q: ||z|| <= ||y||
+    x = np.linalg.lstsq(a, y, rcond=None)[0]
+    assert abs(np.linalg.norm(z) - np.linalg.norm(a @ x)) <= 1e-12
 
 
 def test_qr_contract_ill_conditioned():
-    # kappa = 1e8: classical Gram-Schmidt loses orthogonality here (about
-    # 8e-2); the factor must stay orthonormal and keep the Gram-Schmidt form
+    # kappa = 1e8: classical Gram-Schmidt loses orthogonality here; the
+    # Householder factor must keep R^T R = A^T A to rounding in A^T A and
+    # rotate y by an orthonormal Q
     rng = np.random.default_rng(11)
     u, _ = np.linalg.qr(rng.standard_normal((16, 16)))
     v, _ = np.linalg.qr(rng.standard_normal((16, 16)))
     a = u @ np.diag(np.logspace(0, -8, 16)) @ v.T
-    q, r = gram_schmidt_qr(a)
-    assert np.linalg.norm(q.T @ q - np.eye(16), 2) <= 1e-12
-    assert np.abs(q @ r - a).max() <= 1e-14
-    assert (np.diag(r) > 0).all()
-    assert np.array_equal(np.tril(r, -1), np.zeros((16, 16)))  # exact zeros below
-    # r[j, k] = <q_j, a_k> on and above the diagonal
-    assert np.abs(np.triu(q.T @ a) - r).max() <= 1e-14
+    y = rng.standard_normal(16)
+    r, z = gram_schmidt_qr(a, y)
+    _check_factor(a, y, r, z, 1e-14)
+    assert abs(np.linalg.norm(z) - np.linalg.norm(y)) <= 1e-14
+    # the singular values of R are those of A, down to the smallest
+    assert np.abs(np.linalg.svd(r, compute_uv=False) / np.logspace(0, -8, 16) - 1.0).max() <= 1e-7
 
 
 def test_gram_schmidt_rank_deficiency():
@@ -115,12 +138,14 @@ def test_gram_schmidt_rank_deficiency():
 def test_gram_schmidt_rank_rule_is_relative(scale):
     rng = np.random.default_rng(14)
     a = rng.standard_normal((16, 16))
-    q, r = gram_schmidt_qr(a * scale)
-    assert np.array_equal(q, gram_schmidt_qr(a).q)
-    assert np.array_equal(r, gram_schmidt_qr(a).r * scale)
+    y = rng.standard_normal(16)
+    r, z = gram_schmidt_qr(a * scale, y * scale)
+    want = gram_schmidt_qr(a, y)
+    assert np.array_equal(r, want.r * scale)
+    assert np.array_equal(z, want.z * scale)
     a[:, 5] = a[:, 2]
     with pytest.raises(RankDeficiencyError):
-        gram_schmidt_qr(a * scale)
+        gram_schmidt_qr(a * scale, y * scale)
 
 
 @pytest.mark.parametrize("diag", [[math.nan, 1.0], [1.0, math.nan], [math.nan] * 3])
@@ -131,8 +156,8 @@ def test_rank_rule_fails_nan_entries(diag):
 
 
 def test_gram_schmidt_result_type():
-    out = gram_schmidt_qr(np.eye(3))
-    assert isinstance(out, QRFactors)
+    assert isinstance(gram_schmidt_qr(np.eye(3)), QRFactors)
+    assert isinstance(gram_schmidt_qr(np.eye(3), np.ones(3)), QRFactors)
 
 
 def test_back_substitute():
