@@ -7,8 +7,14 @@ The reported metric is ``||y - H_eq s||^2`` for the returned symbols
 (uncharged; see :mod:`mimo3d.counters`): brute force computes exactly that,
 and the tree decoders' search distances are replaced by it in
 :func:`_reported_metric`, the one place that computes it.  Every decoder
-refuses a NaN or inf in either argument with a :class:`ValueError` that
-names the argument (:func:`~mimo3d.linalg.require_finite`).
+refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` that does not hold 16
+entries, and a NaN or inf in either argument, with a :class:`ValueError`
+that names the argument (:func:`~mimo3d.linalg.require_decodable`).
+
+Ties: where two candidates are equally close to ``y`` in exact arithmetic,
+rounding decides between them, and different decoders may return different
+members of that tie class.  Each returns one of them, and the reported
+metrics agree within 1e-9 relative.
 
 Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
 ``simplified-cs2``.  A name is the only way to pick a decoder; the last
@@ -27,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..counters import OpCounters, charge_matvec, charge_qr
-from ..linalg import gram_schmidt_qr, require_finite, tilde_interleave
+from ..linalg import gram_schmidt_qr, require_decodable
 from .bruteforce import ml_bruteforce
 from .result import DecodeResult
 from .simplified import (
@@ -67,13 +73,15 @@ __all__ = [
 
 
 def _reported_metric(result, y_tilde, h_eq):
-    resid = np.asarray(y_tilde, dtype=float).ravel() - h_eq @ tilde_interleave(result.symbols)
+    # symbols is a fresh complex128 vector, so its float view is the
+    # interleaved [re, im, ..] vector, exactly
+    resid = np.asarray(y_tilde, dtype=float).ravel() - h_eq @ result.symbols.view(float)
     result.metric = float(resid @ resid)
     return result
 
 
 def _decode_baseline(y_tilde, h_eq, constellation):
-    require_finite(y_tilde, h_eq)
+    require_decodable(y_tilde, h_eq)
     counters = OpCounters()
     r, z = gram_schmidt_qr(h_eq, y_tilde)
     charge_qr(counters, 16, 16)

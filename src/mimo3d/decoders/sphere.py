@@ -106,7 +106,7 @@ def sd_baseline(z_tilde, r, constellation, counters):
     """
     best, _, metric = tree_search(z_tilde, r, constellation.pam, None, counters)
     return DecodeResult(
-        symbols=complex_from_interleaved(np.array(best)),
+        symbols=complex_from_interleaved(best),
         metric=metric,
         counters=counters,
     )

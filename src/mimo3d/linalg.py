@@ -73,9 +73,13 @@ def tilde_interleave(v):
 
 
 def complex_from_interleaved(v):
-    """Inverse of :func:`tilde_interleave`."""
-    v = np.asarray(v, dtype=float).ravel()
-    return v[0::2] + 1j * v[1::2]
+    """Inverse of :func:`tilde_interleave`: [x1_re, x1_im, ..] -> [x1, ..].
+
+    A dtype view of a fresh float copy, so every part comes back bit for bit
+    (a -0.0, a subnormal, a huge value) and the result never shares memory
+    with ``v``.  ``v`` must hold an even number of entries.
+    """
+    return np.array(v, dtype=float).ravel().view(complex)
 
 
 def vec_stack(m):
@@ -146,11 +150,18 @@ def require_full_rank(diag):
             )
 
 
-def require_finite(y_tilde, h_eq):
-    """Raise :class:`ValueError` naming the argument that holds a NaN or inf.
+def require_decodable(y_tilde, h_eq):
+    """Raise :class:`ValueError` naming the argument that has the wrong shape
+    or holds a NaN or inf.
 
-    Deliberately not a :class:`RankDeficiencyError`, which the sweep would
-    swallow and resample."""
+    ``h_eq`` must be 16x16 and ``y_tilde`` must hold 16 entries once raveled,
+    so (16,) and (16, 1) both pass.  Deliberately not a
+    :class:`RankDeficiencyError`, which the sweep would swallow and
+    resample."""
+    if np.shape(h_eq) != (16, 16):
+        raise ValueError(f"h_eq has shape {np.shape(h_eq)}; the decoders need 16x16")
+    if np.size(y_tilde) != 16:
+        raise ValueError(f"y_tilde has {np.size(y_tilde)} entries; the decoders need 16")
     for name, value in (("y_tilde", y_tilde), ("h_eq", h_eq)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")

@@ -10,8 +10,9 @@ from mimo3d import (
     sample_channel,
     snr_to_sigma2,
 )
-from mimo3d.decoders import BRANCH_DIMS
+from mimo3d.decoders import ALLOWED_ORDERS, BRANCH_DIMS, ColumnSwitchPlan
 from mimo3d.linalg import tilde_interleave, vec_stack
+from mimo3d.modem import nearest_qam
 
 
 def random_instance(rng, constellation, snr_db, variant="new"):
@@ -157,3 +158,29 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
     a_hat = (sol1[0], sol1[1], sol2[0], sol2[1])
     b_hat = (sol1[2], sol1[3], sol2[2], sol2[3])
     return a_hat, b_hat, d_p
+
+
+def column_switch_reference(s_zf, h_eq, mode, constellation):
+    """The column switch on NumPy complex scalars: each slicing error is
+    ``abs(nearest_qam(v) - v) ** 2`` of a complex128 entry, and the columns
+    are picked by a list built per call.  ``mode`` is "4by4" or "2by2"."""
+    err = [abs(nearest_qam(v, constellation) - v) ** 2 for v in np.asarray(s_zf, dtype=complex)]
+    e12, e34 = err[0] + err[1], err[2] + err[3]
+    e56, e78 = err[4] + err[5], err[6] + err[7]
+    e14, e58 = e12 + e34, e56 + e78
+    identity, half_swap, pair_swap, pair_and_half_swap = ALLOWED_ORDERS
+    if e14 < e58:
+        order = identity
+        if mode == "2by2" and e78 < e56:
+            order = pair_swap
+    else:
+        order = half_swap
+        if mode == "2by2" and e34 < e12:
+            order = pair_and_half_swap
+    plan = ColumnSwitchPlan(
+        mode=mode,
+        order=order,
+        epsilons={"e12": e12, "e34": e34, "e14": e14, "e56": e56, "e78": e78, "e58": e58},
+    )
+    cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
+    return np.asarray(h_eq)[:, cols], plan

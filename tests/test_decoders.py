@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     branch_oracle,
+    column_switch_reference,
     parallel_decisions_lockstep,
     random_branch_fixture,
     random_instance,
@@ -490,6 +491,44 @@ def test_column_switch_half_swap_cases():
     assert plan.order == (6, 7, 4, 5, 2, 3, 0, 1)
 
 
+QAMS = {m: build_qam(m) for m in (4, 16, 64)}
+# any fixed matrix shows which columns the switch picked
+SWITCH_H = np.arange(256.0).reshape(16, 16)
+
+
+@st.composite
+def switch_estimates(draw):
+    """(constellation, ZF estimate) for the column switch.  Every real and
+    imaginary part is an exact PAM level, an exact midpoint between two
+    levels, beyond an outer level, +-0.0, or a random value scaled by 2^-30
+    to 2^30."""
+    qam = QAMS[draw(st.sampled_from(sorted(QAMS)))]
+    levels = qam.pam.level_tuple
+    midpoints = tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
+    part = (
+        st.sampled_from(levels)
+        | st.sampled_from(midpoints)
+        | st.builds(lambda x, sign: sign * x * levels[-1], st.floats(1.0, 8.0),
+                    st.sampled_from((-1, 1)))
+        | st.sampled_from((0.0, -0.0))
+        | st.builds(lambda x, k: x * 2.0**k, st.floats(-1.0, 1.0), st.integers(-30, 30))
+    )
+    parts = draw(st.lists(part, min_size=16, max_size=16))
+    return qam, np.array(parts).view(complex)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(switch_estimates(), st.sampled_from(("4by4", "2by2")))
+def test_column_switch_equals_complex_reference(case, mode):
+    # slicing errors on Python floats give the bits of the complex128 formula
+    qam, s_zf = case
+    got_h, got = column_switch(s_zf, SWITCH_H, mode, qam)
+    want_h, want = column_switch_reference(s_zf, SWITCH_H, mode, qam)
+    assert got.order == want.order
+    assert got.epsilons == want.epsilons  # exactly, not approximately
+    assert np.array_equal(got_h, want_h)
+
+
 def test_all_allowed_orders_preserve_structure():
     rng = derive_rng(220)
     for _ in range(25):
@@ -498,6 +537,23 @@ def test_all_allowed_orders_preserve_structure():
             cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
             h_perm = eq.h_eq[:, cols]
             assert verify_r_structure(gram_schmidt_qr(h_perm).r, h_perm).ok
+
+
+def test_zf_estimate_shapes_and_errors():
+    _, eq, y = random_instance(derive_rng(229), QPSK, 10.0)
+    s_zf = zf_estimate(eq.h_eq, y)
+    # (16,) and (16, 1) give the same estimate, in fresh memory
+    assert zf_estimate(eq.h_eq, y.reshape(16, 1)).tobytes() == s_zf.tobytes()
+    assert not np.shares_memory(s_zf, y) and not np.shares_memory(s_zf, eq.h_eq)
+    with pytest.raises(ValueError, match="^h_eq has shape") as info:
+        zf_estimate(eq.h_eq[:, :15], y)
+    assert not isinstance(info.value, RankDeficiencyError)
+    with pytest.raises(ValueError, match="^y has 15 entries"):
+        zf_estimate(eq.h_eq, y[:15])
+    h = eq.h_eq.copy()
+    h[:, 2] = 0.0
+    with pytest.raises(RankDeficiencyError):
+        zf_estimate(h, y)
 
 
 def test_zf_estimate_noiseless_and_linear():
@@ -572,6 +628,23 @@ def test_registry_refuses_non_finite_input(name, arg, bad):
     with pytest.raises(ValueError, match=f"^{arg} contains NaN or inf") as info:
         decode(y, h_eq, QPSK)
     # not a RankDeficiencyError, which the sweep would swallow and resample
+    assert not isinstance(info.value, RankDeficiencyError)
+
+
+@pytest.mark.parametrize("arg, n", [("h_eq", 15), ("y_tilde", 15), ("y_tilde", 17)])
+@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+def test_decoders_refuse_wrong_shapes(name, arg, n):
+    # n is the column count of h_eq or the length of y_tilde
+    _, eq, y = random_instance(derive_rng(230), QPSK, 10.0)
+    decode = DIRECT.get(name) or get_decoder(name)
+    # a column vector is the same input, raveled
+    ref = decode(y, eq.h_eq, QPSK)
+    assert np.array_equal(decode(y.reshape(16, 1), eq.h_eq, QPSK).symbols, ref.symbols)
+    h_eq = eq.h_eq[:, :n] if arg == "h_eq" else eq.h_eq
+    if arg == "y_tilde":
+        y = np.resize(y, n)
+    with pytest.raises(ValueError, match=f"^{arg} has") as info:
+        decode(y, h_eq, QPSK)
     assert not isinstance(info.value, RankDeficiencyError)
 
 
@@ -670,3 +743,50 @@ def test_sd_baseline_core_signature():
     res = sd_baseline(z, r, QPSK, OpCounters())
     direct = np.sum((y - eq.h_eq @ tilde_interleave(res.symbols)) ** 2)
     assert abs(res.metric - direct) < 1e-9
+
+
+@pytest.mark.parametrize("name", SEARCH_DECODERS)
+def test_registry_metric_is_the_interleaved_residual(name):
+    # the reported metric reads the symbols through a dtype view; it is
+    # the same float as the residual of their interleaved copy
+    rng = derive_rng(231)
+    for m, snr_db in ((4, 5.0), (16, 15.0)):
+        qam = QAMS[m]
+        for _ in range(10):
+            _, eq, y = random_instance(rng, qam, snr_db)
+            res = get_decoder(name)(y, eq.h_eq, qam)
+            resid = y - eq.h_eq @ tilde_interleave(res.symbols)
+            assert res.metric == float(resid @ resid)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_search_decoders_on_exact_ties(m):
+    # noiseless y halfway between H s_a and H s_b, which differ by one PAM
+    # step in one real dimension: every decoder reaches the ML metric, and
+    # where s_a and s_b are the ML pair it returns one of them
+    qam = QAMS[m]
+    levels = qam.pam.level_tuple
+    rng = derive_rng(232, m)
+    names = SEARCH_DECODERS + (("bruteforce",) if m == 4 else ())
+    ref_name = "bruteforce" if m == 4 else "sd-baseline"
+    tied = 0
+    for _ in range(25):
+        h_eq = make_equivalent(sample_channel(rng), "new").h_eq
+        s_a = tilde_interleave(qam.points[rng.integers(0, m, 8)])
+        s_b = s_a.copy()
+        dim = rng.integers(16)
+        k = levels.index(s_a[dim])
+        up = k == 0 or (k < len(levels) - 1 and rng.integers(2))
+        s_b[dim] = levels[k + 1] if up else levels[k - 1]
+        y = h_eq @ ((s_a + s_b) / 2)
+        results = {name: get_decoder(name)(y, h_eq, qam) for name in names}
+        ref = results[ref_name].metric
+        pair_metric = float(np.sum((y - h_eq @ s_a) ** 2))
+        pair_is_ml = abs(pair_metric - ref) <= 1e-9 * ref
+        tied += pair_is_ml
+        for name, res in results.items():
+            assert abs(res.metric - ref) <= 1e-9 * ref, (name, res.metric, ref)
+            if pair_is_ml:
+                got = tilde_interleave(res.symbols)
+                assert np.array_equal(got, s_a) or np.array_equal(got, s_b), name
+    assert tied >= 20  # the pair is the ML pair on most channels

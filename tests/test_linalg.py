@@ -56,6 +56,19 @@ def test_tilde_interleave_roundtrip():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.array_equal(complex_from_interleaved(tilde_interleave(v)), v)
+    # signed zeros, subnormals and huge parts survive bit for bit, and no
+    # result shares memory with its argument
+    parts = np.array([-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300, 0.7071067811865476, -0.0])
+    v = parts.copy().view(complex)
+    flat = tilde_interleave(v)
+    assert flat.tobytes() == parts.tobytes()
+    back = complex_from_interleaved(flat)
+    assert back.tobytes() == v.tobytes()
+    assert not np.shares_memory(flat, v)
+    assert not np.shares_memory(back, flat)
+    # a column vector and a plain list read the same
+    assert complex_from_interleaved(flat.reshape(-1, 1)).tobytes() == v.tobytes()
+    assert complex_from_interleaved(parts.tolist()).tobytes() == v.tobytes()
 
 
 def test_vec_stack():

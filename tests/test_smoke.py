@@ -3,8 +3,11 @@
 ``bench/selftest.py`` fails when a module global that the benchmark tracer
 wraps has moved or gone; without it the tracer would only note the global
 as missing and its per-layer metrics would read zero.  The demos run the
-public API end to end.  ``demos/04`` is left out: it is a 1500-trial sweep
-that writes ``sweep.csv`` into its working directory.
+public API end to end; the walkthrough's output, which prints rounded values
+only, must match ``tests/expected/03_decoder_walkthrough.txt`` byte for byte.
+A change that means to alter what the walkthrough prints updates that file.
+``demos/04`` is left out: it is a 1500-trial sweep that writes ``sweep.csv``
+into its working directory.
 """
 
 import os
@@ -21,6 +24,8 @@ SCRIPTS = (
     "demos/02_r_matrix_structure.py",
     "demos/03_decoder_walkthrough.py",
 )
+# script -> file holding its expected standard output
+EXPECTED = {"demos/03_decoder_walkthrough.py": ROOT / "tests/expected/03_decoder_walkthrough.txt"}
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
@@ -29,3 +34,5 @@ def test_script_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script in EXPECTED:
+        assert proc.stdout == EXPECTED[script].read_text()
