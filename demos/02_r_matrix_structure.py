@@ -10,7 +10,7 @@ groups keeps it.
 import numpy as np
 
 import mimo3d as m3
-from mimo3d.decoders import ALLOWED_ORDERS
+from mimo3d.decoders.simplified import ALLOWED_ORDERS
 from mimo3d.linalg import gram_schmidt_qr
 
 

@@ -8,7 +8,7 @@ decoder and the two-stage decoder, and what each one paid for it.
 import numpy as np
 
 import mimo3d as m3
-from mimo3d.decoders import column_switch, get_decoder, zf_estimate
+from mimo3d.decoders.simplified import column_switch, zf_estimate
 from mimo3d.linalg import tilde_interleave, vec_stack
 
 SNR_DB = 8.0
@@ -34,7 +34,7 @@ print("group reliabilities:", {k: f"{v:.3f}" for k, v in plan.epsilons.items()})
 
 print(f"\n{'decoder':<16}{'metric':>12}{'visited':>9}{'mults':>9}{'divs':>7}  errors")
 for name in ("bruteforce", "sd-baseline", "simplified", "simplified-cs4", "simplified-cs2"):
-    res = get_decoder(name)(y_tilde, eq.h_eq, qam)
+    res = m3.get_decoder(name)(y_tilde, eq.h_eq, qam)
     errs = int(np.sum(res.symbols != symbols))
     c = res.counters
     print(f"{name:<16}{res.metric:>12.6f}{c.visited_nodes:>9}{c.mults:>9}{c.divs:>7}  {errs}")

@@ -8,7 +8,8 @@ channel model, a quasi-static Rayleigh Monte-Carlo harness, and three
 instrumented decoders -- an exhaustive ML oracle, a classical
 Schnorr-Euchner sphere decoder, and a two-stage simplified decoder that
 reaches the ML solution in O(M^4.5) worst case by exploiting the zero
-structure of the equivalent channel's R factor.
+structure of the equivalent channel's R factor.  Decoders are reached by
+registry name through :func:`get_decoder`.
 """
 
 from .channel import (
@@ -19,39 +20,11 @@ from .channel import (
     snr_to_sigma2,
     transmit,
 )
-from .code import (
-    ALPHA,
-    ALPHA_BAR,
-    SCALE,
-    THETA,
-    THETA_BAR,
-    VARIANTS,
-    build_generator,
-    encode_direct,
-)
+from .code import VARIANTS, build_generator, encode_direct
 from .counters import OpCounters
-from .decoders import (
-    DecodeResult,
-    StructureReport,
-    column_switch,
-    compute_v,
-    get_decoder,
-    ml_bruteforce,
-    parallel_decisions,
-    simplified_ml,
-    verify_r_structure,
-    zf_estimate,
-)
-from .linalg import (
-    QRFactors,
-    RankDeficiencyError,
-    check_expand_matrix,
-    complex_from_interleaved,
-    gram_schmidt_qr,
-    tilde_interleave,
-    vec_stack,
-)
-from .modem import PamSet, QamConstellation, build_qam, nearest_qam, se_order, slice_pam
+from .decoders import DecodeResult, StructureReport, get_decoder, verify_r_structure
+from .linalg import RankDeficiencyError, tilde_interleave, vec_stack
+from .modem import PamSet, QamConstellation, build_qam
 from .sweep import (
     SweepConfig,
     SweepRow,

@@ -9,6 +9,7 @@ from .code import VARIANTS
 from .sweep import (
     MODULATIONS,
     SweepConfig,
+    check_trials_and_seed,
     read_csv,
     run_sweep,
     structure_sweep,
@@ -46,6 +47,7 @@ def _add_sweep_parser(sub):
     p.add_argument("--variant", choices=VARIANTS, default="new")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
+    return p
 
 
 def main(argv=None):
@@ -54,7 +56,7 @@ def main(argv=None):
         description="3D MIMO code link simulation and decoder comparison",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_sweep_parser(sub)
+    p_sweep = _add_sweep_parser(sub)
 
     p_verify = sub.add_parser("verify-structure",
                               help="check the R-matrix zero structure over random channels")
@@ -65,19 +67,32 @@ def main(argv=None):
     p_sum.add_argument("--in", dest="in_path", required=True)
 
     args = parser.parse_args(argv)
+    command_parser = {"sweep": p_sweep, "verify-structure": p_verify, "summarize": p_sum}
+
+    # argument and input errors become usage errors (exit 2, message on
+    # stderr, nothing written); a ValueError raised while decoding propagates
+    try:
+        if args.command == "sweep":
+            config = SweepConfig(
+                modulation=args.mod,
+                snr_start=args.snr_start,
+                snr_stop=args.snr_stop,
+                snr_step=args.snr_step,
+                trials=args.trials,
+                decoders=tuple(name.strip() for name in args.decoders.split(",") if name.strip()),
+                seed=args.seed,
+                variant=args.variant,
+                workers=args.workers,
+            )
+            config.validate()
+        elif args.command == "verify-structure":
+            check_trials_and_seed(args.trials, args.seed)
+        else:
+            report = summarize(read_csv(args.in_path))
+    except ValueError as err:
+        command_parser[args.command].error(str(err))
 
     if args.command == "sweep":
-        config = SweepConfig(
-            modulation=args.mod,
-            snr_start=args.snr_start,
-            snr_stop=args.snr_stop,
-            snr_step=args.snr_step,
-            trials=args.trials,
-            decoders=tuple(name.strip() for name in args.decoders.split(",") if name.strip()),
-            seed=args.seed,
-            variant=args.variant,
-            workers=args.workers,
-        )
         rows, resamples = run_sweep(config)
         write_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -90,7 +105,6 @@ def main(argv=None):
         print(report, end="")
         return 0 if ok else 1
 
-    report = summarize(read_csv(args.in_path))
     print(report, end="")
     return 0
 

@@ -18,8 +18,18 @@ metrics agree within 1e-9 relative.
 
 Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
 ``simplified-cs2``.  A name is the only way to pick a decoder; the last
-three are :func:`simplified_ml` with ``switch_mode`` "none", "4by4" and
-"2by2".
+three are :func:`~.simplified.simplified_ml` with ``switch_mode`` "none",
+"4by4" and "2by2".
+
+Public names: :func:`get_decoder`, :func:`verify_r_structure` and the types
+they return, :class:`DecodeResult` and :class:`StructureReport`.  The stage
+functions live in their submodules: ``simplified_ml``, ``zf_estimate``,
+``column_switch``, ``compute_v`` and ``parallel_decisions`` in
+:mod:`.simplified`, ``tree_search`` and ``sd_baseline`` in :mod:`.sphere`,
+``ml_bruteforce`` in :mod:`.bruteforce`.  They keep those names, and this
+module keeps its ``simplified_ml``, ``sd_baseline`` and ``gram_schmidt_qr``
+globals, because the benchmark's tracer (``bench/tracing.py``) wraps them
+where they are looked up at call time.
 
 The two tree decoders run one depth-first engine,
 :func:`~.sphere.tree_search`, with two enumeration policies: ``sd-baseline``
@@ -36,40 +46,13 @@ from ..counters import OpCounters, charge_matvec, charge_qr
 from ..linalg import gram_schmidt_qr, require_decodable
 from .bruteforce import ml_bruteforce
 from .result import DecodeResult
-from .simplified import (
-    ALLOWED_ORDERS,
-    BRANCH_DIMS,
-    SWITCH_MODES,
-    ColumnSwitchPlan,
-    column_switch,
-    compute_v,
-    parallel_decisions,
-    simplified_ml,
-    zf_estimate,
-)
-# sd_baseline is the search core of the "sd-baseline" entry: looked up here at
-# decode time, not exported
-from .sphere import sd_baseline, tree_search
-from .structure import BLOCK_ZERO_POSITIONS, StructureReport, verify_r_structure
+# simplified_ml and sd_baseline are the search cores of the registry entries,
+# looked up here at decode time, not exported
+from .simplified import simplified_ml
+from .sphere import sd_baseline
+from .structure import StructureReport, verify_r_structure
 
-__all__ = [
-    "ALLOWED_ORDERS",
-    "BLOCK_ZERO_POSITIONS",
-    "BRANCH_DIMS",
-    "SWITCH_MODES",
-    "ColumnSwitchPlan",
-    "DecodeResult",
-    "StructureReport",
-    "column_switch",
-    "compute_v",
-    "get_decoder",
-    "ml_bruteforce",
-    "parallel_decisions",
-    "simplified_ml",
-    "tree_search",
-    "verify_r_structure",
-    "zf_estimate",
-]
+__all__ = ["DecodeResult", "StructureReport", "get_decoder", "verify_r_structure"]
 
 
 def _reported_metric(result, y_tilde, h_eq):

@@ -126,7 +126,8 @@ def column_switch(s_zf, h_eq, mode, constellation):
 
     The eight estimates are read once into Python floats; each error is
     ``abs(complex(Q(re) - re, Q(im) - im)) ** 2``, the same bits as
-    ``abs(nearest_qam(v) - v) ** 2`` on the complex entry ``v``.
+    ``abs(complex(Q(v.real), Q(v.imag)) - v) ** 2`` on the complex entry
+    ``v``.
     """
     if mode not in SWITCH_MODES:
         raise ValueError(f"unknown switch mode {mode!r}; expected one of {SWITCH_MODES}")

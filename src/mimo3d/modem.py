@@ -135,9 +135,3 @@ def se_order(estimate, pam):
     if i == 0 or i == last or (estimate - levels[i - 1]) <= (levels[i + 1] - estimate):
         return lower_first
     return upper_first
-
-
-def nearest_qam(z, constellation):
-    """Closest constellation point to z (componentwise PAM slicing)."""
-    pam = constellation.pam
-    return slice_pam(z.real, pam) + 1j * slice_pam(z.imag, pam)

@@ -34,6 +34,15 @@ MODULATIONS = {"qpsk": 4, "16qam": 16, "64qam": 64}
 MAX_ATTEMPTS = 64
 
 
+def check_trials_and_seed(trials, seed):
+    """Refuse a run that would check nothing or that no random stream can
+    seed: ``trials < 1`` or ``seed < 0``, each a :class:`ValueError`."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class SweepConfig:
     modulation: str = "qpsk"
@@ -56,8 +65,7 @@ class SweepConfig:
             raise ValueError("snr_step must be positive")
         if self.snr_stop < self.snr_start:
             raise ValueError("snr_stop must be >= snr_start")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_trials_and_seed(self.trials, self.seed)
         if not self.decoders:
             raise ValueError("need at least one decoder")
         if self.variant not in VARIANTS:
@@ -264,8 +272,10 @@ def structure_sweep(trials, seed):
     Returns ``(report_text, ok)`` where ``ok`` reflects only the "new"
     variant (the "original" ordering is expected to fail the claims in
     ``ORIGINAL_BREAKS`` and is reported as such).  One channel realization
-    per trial, shared by both variants.
+    per trial, shared by both variants.  Raises :class:`ValueError` for
+    ``trials < 1`` or ``seed < 0``.
     """
+    check_trials_and_seed(trials, seed)
     worst = {v: {} for v in VARIANTS}  # claim -> largest value, in StructureReport.checks order
     for trial in range(trials):
         rng = derive_rng(seed, trial)

@@ -10,9 +10,15 @@ from mimo3d import (
     sample_channel,
     snr_to_sigma2,
 )
-from mimo3d.decoders import ALLOWED_ORDERS, BRANCH_DIMS, ColumnSwitchPlan
+from mimo3d.decoders.simplified import ALLOWED_ORDERS, BRANCH_DIMS, ColumnSwitchPlan
 from mimo3d.linalg import tilde_interleave, vec_stack
-from mimo3d.modem import nearest_qam
+from mimo3d.modem import slice_pam
+
+
+def nearest_qam(z, constellation):
+    """Closest constellation point to z (componentwise PAM slicing)."""
+    pam = constellation.pam
+    return slice_pam(z.real, pam) + 1j * slice_pam(z.imag, pam)
 
 
 def random_instance(rng, constellation, snr_db, variant="new"):

@@ -14,14 +14,9 @@ from helpers import branch_oracle, random_branch_fixture, random_instance
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel
 from mimo3d.cli import main
 from mimo3d.counters import OpCounters
-from mimo3d.decoders import (
-    BRANCH_DIMS,
-    get_decoder,
-    ml_bruteforce,
-    parallel_decisions,
-    simplified_ml,
-    verify_r_structure,
-)
+from mimo3d.decoders import get_decoder, verify_r_structure
+from mimo3d.decoders.bruteforce import ml_bruteforce
+from mimo3d.decoders.simplified import BRANCH_DIMS, parallel_decisions, simplified_ml
 from mimo3d.sweep import SweepConfig, run_sweep
 
 QPSK = build_qam(4)

@@ -14,21 +14,18 @@ from hypothesis import strategies as st
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from mimo3d.counters import OpCounters
-from mimo3d.decoders import (
+from mimo3d.decoders import REGISTRY, get_decoder, verify_r_structure
+from mimo3d.decoders.bruteforce import ml_bruteforce
+from mimo3d.decoders.simplified import (
     ALLOWED_ORDERS,
     BRANCH_DIMS,
-    REGISTRY,
     column_switch,
     compute_v,
-    get_decoder,
-    ml_bruteforce,
     parallel_decisions,
     simplified_ml,
-    tree_search,
-    verify_r_structure,
     zf_estimate,
 )
-from mimo3d.decoders.sphere import sd_baseline
+from mimo3d.decoders.sphere import sd_baseline, tree_search
 from mimo3d.linalg import RankDeficiencyError, gram_schmidt_qr, tilde_interleave
 
 QPSK = build_qam(4)

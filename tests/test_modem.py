@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import se_order_walk
+from helpers import nearest_qam, se_order_walk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo3d.modem import build_qam, nearest_qam, se_order, slice_pam
+from mimo3d.modem import build_qam, se_order, slice_pam
 
 
 def test_qpsk_levels():

@@ -43,6 +43,7 @@ def test_snr_points():
     dict(variant="original", decoders=("sd-baseline", "simplified-cs2")),
     dict(modulation="16qam", decoders=("bruteforce",)),
     dict(workers=0),
+    dict(seed=-1),
     dict(decoders=("simplified-cs8",)),
     # a non-finite bound or step would make snr_points loop forever
     dict(snr_step=math.nan),
@@ -250,6 +251,14 @@ def test_structure_sweep_report():
     assert report.count("pass") >= 6
 
 
+@pytest.mark.parametrize("trials, seed, word", [(0, 4, "trials"), (-5, 4, "trials"),
+                                                 (1, -1, "seed")])
+def test_structure_sweep_refuses_empty_run_and_negative_seed(trials, seed, word):
+    # a run over no channel would report success without checking anything
+    with pytest.raises(ValueError, match=word):
+        structure_sweep(trials=trials, seed=seed)
+
+
 def test_ser_decreases_with_snr():
     # statistical sanity, pinned by the seed: +6 dB must help an ML decoder
     cfg = SweepConfig(modulation="qpsk", snr_start=4.0, snr_stop=10.0, snr_step=6.0,
@@ -285,6 +294,45 @@ def test_cli_rejects_switch_flag(tmp_path, capsys):
         ])
     assert exc.value.code == 2
     assert "--switch" in capsys.readouterr().err
+    assert not (tmp_path / "cli.csv").exists()
+
+
+# argparse keeps the last value of a repeated option, so a case appends its own
+SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
+              "--trials", "1", "--decoders", "simplified", "--seed", "3", "--out", "cli.csv"]
+
+
+@pytest.mark.parametrize("argv, word", [
+    (SWEEP_ARGV + ["--decoders", ""], "decoder"),
+    (SWEEP_ARGV + ["--decoders", "warp-drive"], "warp-drive"),
+    (SWEEP_ARGV + ["--trials", "0"], "trials"),
+    (SWEEP_ARGV + ["--snr-step", "0"], "snr_step"),
+    (SWEEP_ARGV + ["--seed", "-1"], "seed"),
+    (["verify-structure", "--trials", "0", "--seed", "1"], "trials"),
+    (["verify-structure", "--trials", "-5", "--seed", "1"], "trials"),
+    (["verify-structure", "--trials", "3", "--seed", "-1"], "seed"),
+    (["summarize", "--in", "header-only.csv"], "no rows"),
+])
+def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_csv([], "header-only.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert word in captured.err and captured.out == ""
+    assert not (tmp_path / "cli.csv").exists()
+
+
+def test_cli_lets_decode_errors_propagate(tmp_path, monkeypatch):
+    # only argument and input validation is a usage error
+    def broken(y_tilde, h_eq, constellation):
+        raise ValueError("synthetic decode failure")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(REGISTRY, "broken", broken)
+    with pytest.raises(ValueError, match="synthetic decode failure"):
+        main(SWEEP_ARGV + ["--decoders", "broken"])
     assert not (tmp_path / "cli.csv").exists()
 
 
