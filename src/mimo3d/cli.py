@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .code import VARIANTS
@@ -50,6 +51,17 @@ def _add_sweep_parser(sub):
     return p
 
 
+def _check_out_path(path):
+    """Refuse an output path that ``write_csv`` could not open, before a
+    sweep spends any work on it: a directory, or a file in a directory that
+    does not exist.  Raises :class:`ValueError`."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: directory {folder} does not exist")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="mimo3d",
@@ -69,8 +81,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     command_parser = {"sweep": p_sweep, "verify-structure": p_verify, "summarize": p_sum}
 
-    # argument and input errors become usage errors (exit 2, message on
-    # stderr, nothing written); a ValueError raised while decoding propagates
+    # argument and input errors, and an --in file that cannot be read,
+    # become usage errors (exit 2, message on stderr, nothing written); a
+    # ValueError raised while decoding propagates
     try:
         if args.command == "sweep":
             config = SweepConfig(
@@ -85,12 +98,15 @@ def main(argv=None):
                 workers=args.workers,
             )
             config.validate()
+            _check_out_path(args.out)
         elif args.command == "verify-structure":
             check_trials_and_seed(args.trials, args.seed)
         else:
             report = summarize(read_csv(args.in_path))
     except ValueError as err:
         command_parser[args.command].error(str(err))
+    except OSError as err:  # only read_csv opens a file here
+        command_parser[args.command].error(f"cannot read --in {args.in_path}: {err.strerror}")
 
     if args.command == "sweep":
         rows, resamples = run_sweep(config)

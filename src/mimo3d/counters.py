@@ -14,12 +14,21 @@ is defined):
   ``z = Q^T y`` costs ``m * n`` mults, and a back-substitution costs
   ``n (n - 1) / 2`` mults plus ``n`` divs.
 * The charges follow the paper's preprocessing sequence, not the code's.
-  The two-stage decoder is charged a QR, a rotation and a back-substitution
-  for its zero-forcing estimate, plus a second QR and rotation after a
-  non-identity column switch; the code runs one LU solve for the estimate
-  and then one Householder pass that factors the chosen channel and rotates
-  ``y`` together.  ``sd-baseline`` is charged a QR and a rotation for that
-  same single pass.
+  Every tree decoder is charged a QR and a rotation.  With a column switch
+  the two-stage decoder is also charged a back-substitution for its
+  zero-forcing estimate, plus a second QR and rotation after a non-identity
+  order; the code runs one LU solve for the estimate and then one
+  Householder pass that factors the chosen channel and rotates ``y``
+  together.  Without a switch no estimate is computed or charged.
+* The tree searches charge what runs.  Every evaluated child costs 2 mults
+  (the residual ``acc - r_ii s_i`` and its square).  The centred policy
+  (``sd-baseline``) also charges, per expanded node, ``n - 1 - i`` mults for
+  the inner product that forms ``acc`` and one division for the centre.
+  The table policy (the two-stage tree stage) charges per table entry
+  built, at most once per (level, parent value): one division, plus one
+  mult for a level that couples to another.  It multiplies by no
+  structural zero of R.  Both policies stop a sibling loop at the first
+  child outside the radius, and that child is counted.
 * A *visited node* is one candidate assignment: at a tree level
   (``tree_nodes``) or at one step of a parallel decision branch
   (``branch_nodes``).  The reported aggregate is

@@ -32,10 +32,10 @@ globals, because the benchmark's tracer (``bench/tracing.py``) wraps them
 where they are looked up at call time.
 
 The two tree decoders run one depth-first engine,
-:func:`~.sphere.tree_search`, with two enumeration policies: ``sd-baseline``
-centres S-E order at every node of a 16-level search, the two-stage decoder
-uses fixed per-level tables over 8 levels and completes each leaf with its
-parallel decisions.
+:func:`~.sphere.tree_search`, in exact S-E order with the sibling cut, under
+two policies: ``sd-baseline`` computes the centre at every node of a
+16-level search, the two-stage decoder looks it up from per-decode tables
+over 8 levels and completes each leaf with its parallel decisions.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ splits into:
 
 * an outer depth-first tree search over the 8 real dimensions of the last
   four symbols of the decode order.  It is the shared engine
-  :func:`~.sphere.tree_search` with the fixed-table policy: the S-E order of
-  every level is built once from the zero-forcing estimate (no per-node
-  division), and every child of a visited node is evaluated against the
+  :func:`~.sphere.tree_search` with the table policy.  The tree block of R
+  has the same pattern as the leading one, so each level's conditional
+  centre depends on at most one decided level.  Its exact S-E order is
+  looked up from a per-decode table built on first use (no per-node
+  division), and each sibling loop stops at the first child outside the
   adaptive radius;
 * at each surviving leaf, as the engine's leaf hook, four *parallel
   decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
@@ -26,7 +28,8 @@ branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
 An optional column switch permutes symbol groups (equivalently H_eq column
 pairs) among the four structure-preserving orderings so that the least
 reliable half, measured by the aggregate zero-forcing slicing error, lands
-in the tree stage.
+in the tree stage.  Both stages read the zero pattern of R; the decode
+refuses an R without it (:func:`~.structure.two_stage_zeros`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from ..linalg import (
 from ..modem import se_order, slice_pam
 from .result import DecodeResult
 from .sphere import tree_search
-from .structure import REL_TOL, gram_cross
+from .structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
 
 SWITCH_MODES = ("none", "4by4", "2by2")
 
@@ -68,7 +71,7 @@ _COLUMNS = {
 
 # (s1-role dim, s2-role dim) of each parallel branch, 0-based real indices:
 # branch 0/1 handle re/im of the first symbol pair, 2/3 of the second.
-BRANCH_DIMS = ((0, 2), (1, 3), (4, 6), (5, 7))
+BRANCH_DIMS = COUPLED_DIMS
 
 
 @dataclass(frozen=True)
@@ -261,27 +264,29 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     """Full two-stage decode of one received codeword.
 
     ``h_eq`` must come from the "new" codeword ordering.  That is checked
-    up front, on the Gram cross block of ``h_eq`` relative to ``max|H_eq|^2``
-    (one 4x16 by 16x4 product, a few microseconds against a decode of about
-    half a millisecond); any other ordering raises :class:`ValueError`,
-    because the decoder would return a non-ML answer on it.  All three switch
-    modes return the same ML solution; they differ only in search effort.
-    Raises :class:`ValueError` naming the argument when ``h_eq`` is not
-    16x16, ``y_tilde`` does not hold 16 entries, or either holds a NaN or
-    inf (:func:`~mimo3d.linalg.require_decodable`), and propagates
+    on the R factor the decode runs on, against every entry either stage
+    reads as zero, relative to ``max|R|`` (:func:`~.structure.two_stage_zeros`,
+    a few microseconds against a decode of about half a millisecond).  Any
+    other channel raises :class:`ValueError`, because the decoder would
+    return a non-ML answer on it.  All three switch modes return the same ML
+    solution; they differ only in search effort.  Raises :class:`ValueError`
+    naming the argument when ``h_eq`` is not 16x16, ``y_tilde`` does not
+    hold 16 entries, or either holds a NaN or inf
+    (:func:`~mimo3d.linalg.require_decodable`), and propagates
     :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.
 
-    The zero-forcing estimate comes from one LU solve of ``h_eq``
-    (:func:`zf_estimate`); the column switch reads it to choose the decode
-    order, and only the permuted channel ``H_eq P`` is then factored, once,
-    in one Householder pass that also rotates ``y``
-    (:func:`~mimo3d.linalg.gram_schmidt_qr`).  Between the solve and the
-    search the eight estimates are plain Python floats: the S-E table of
-    each tree level is read from them in decode order, and the decided
-    symbols are placed as Python complexes in canonical order.  The
-    counters still charge the paper's sequence: QR of ``h_eq``, rotation,
-    back-substitution, and a second QR and rotation after a non-identity
-    switch (see :mod:`mimo3d.counters`).
+    With a column switch, the zero-forcing estimate comes from one LU solve
+    of ``h_eq`` (:func:`zf_estimate`), and the switch reads it to choose the
+    decode order; without one, no estimate is needed.  Only the permuted
+    channel ``H_eq P`` is then factored, once, in one Householder pass that
+    also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
+    search finds its S-E orders from R and ``z`` (the table policy of
+    :func:`~.sphere.tree_search`), and the decided symbols are placed as
+    Python complexes in canonical order.  The counters charge the paper's
+    preprocessing sequence: QR of ``h_eq`` and rotation, plus, with a
+    switch, the back-substitution of the estimate and, after a
+    non-identity order, a second QR and rotation (see
+    :mod:`mimo3d.counters`).
 
     ``metric`` is the search distance ``||z - R s||^2`` in the rotated
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
@@ -289,33 +294,30 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     """
     require_decodable(y_tilde, h_eq)
     h_eq = np.asarray(h_eq, dtype=float)
-    if gram_cross(h_eq) > REL_TOL:
-        raise ValueError("h_eq lacks the zero Gram cross block of the 'new' codeword ordering")
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
 
-    s_zf = zf_estimate(h_eq, y)
-    # charged as the paper computes it: QR, rotation, back-substitution
+    # charged as the paper computes it: QR and rotation, plus for a switch
+    # the back-substitution of the ZF estimate and, for a non-identity
+    # order, a second QR and rotation of H_eq P
     charge_qr(counters, 16, 16)
     charge_matvec(counters, 16, 16)
-    charge_backsolve(counters, 16)
     if switch_mode == "none":
         plan = ColumnSwitchPlan(mode="none")
     else:
+        s_zf = zf_estimate(h_eq, y)
+        charge_backsolve(counters, 16)
         h_eq, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
         counters.mults += 16  # |Q(s_zf) - s_zf|^2 over 8 complex entries
-        if not plan.is_identity:  # the paper factors H_eq P a second time
+        if not plan.is_identity:
             charge_qr(counters, 16, 16)
             charge_matvec(counters, 16, 16)
     qr = gram_schmidt_qr(h_eq, y)
+    if two_stage_zeros(qr.r) > REL_TOL:
+        raise ValueError("h_eq lacks the R zero structure of the 'new' codeword ordering")
     z = qr.z
 
     pam = constellation.pam
-    # tree level i decides the real or imaginary part of the symbol at
-    # decode position 4 + i // 2; its table is the S-E order from that
-    # part's ZF estimate
-    zf = s_zf.view(float).tolist()
-    tables = [se_order(zf[2 * sym + part], pam) for sym in plan.order[4:] for part in (0, 1)]
     rows = qr.r.tolist()
     # The leaf is reachable from the search's reference cycle, so what its
     # closure holds, and what tree_search is handed, is left to the cyclic
@@ -336,7 +338,7 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters)
         return d_p, (a_hat, b_hat)
 
-    best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], tables, leaf, counters)
+    best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], pam, leaf, counters, tables=True)
     if best_outer is None:  # unreachable: the first leaf always beats an infinite radius
         raise RuntimeError("tree search returned no candidate")
 

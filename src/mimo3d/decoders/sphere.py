@@ -3,17 +3,22 @@
 Both tree decoders run the same search (Agrell, Eriksson, Vardy and Zeger,
 "Closest point search in lattices", IEEE Trans. Inf. Theory 2002): a
 depth-first walk of ``min ||z - R s||^2`` from the last dimension down to the
-first, with an adaptive radius that shrinks at every improving leaf.  They
-differ only in the enumeration policy of :func:`tree_search`:
+first, with an adaptive radius that shrinks at every improving leaf.  Every
+node visits its children in centred Schnorr-Euchner (S-E) order, ascending
+distance from the conditional (Babai) centre, so the increments along a
+sibling loop are nondecreasing and the loop is cut at the first child
+outside the sphere.  The two enumeration policies of :func:`tree_search`
+differ only in how a node finds its centre:
 
-* centred Schnorr-Euchner (S-E) order -- at each node the children are
-  visited in ascending distance from the conditional (Babai) centre.  This
-  costs one division per expanded node, and because the increments are then
-  nondecreasing, the sibling loop is cut at the first child outside the
-  sphere;
-* fixed per-level lookup tables built once up front -- no division per node,
-  but sibling distances are not monotone, so every child of a visited node
-  is evaluated.
+* centred -- the inner product over the node's row of R and one division
+  at every expanded node, for any upper-triangular R;
+* tables -- a per-decode table lookup, for R with the zero pattern of the
+  two-stage decoder's tree block, which makes the code fast-decodable
+  (Biglieri, Hong and Viterbo, "On fast-decodable space-time block codes",
+  IEEE Trans. Inf. Theory 2009).  Half of its rows are diagonal, so their
+  centre is fixed for the whole decode; each other row couples to a single
+  diagonal one, so it has one centre per value of that level.  Each
+  (level, parent value) entry is built once, on first use; no node divides.
 
 :func:`sd_baseline` is the classical 16-level real-valued search with the
 centred policy, run to completion, hence exactly ML.  The two-stage decoder
@@ -32,22 +37,38 @@ from ..modem import PamSet, se_order
 from .result import DecodeResult
 
 
-def tree_search(z, r, order, leaf_fn, counters):
+def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     """Depth-first search of ``min ||z - R s||^2`` for upper-triangular ``r``.
 
     ``r`` must have a positive diagonal (``gram_schmidt_qr`` output); a
     diagonal entry below ``RANK_TOL`` times the largest raises
     :class:`~mimo3d.linalg.RankDeficiencyError` (:func:`require_full_rank`).
-    ``order`` is the enumeration policy: a :class:`~mimo3d.modem.PamSet`
-    gives centred S-E order at every node (sibling loop cut at the first
-    child outside the radius), a sequence of per-dimension level tuples
-    gives that fixed order (every child evaluated).  A full-depth candidate
-    inside the radius is a leaf; ``leaf_fn(s, d_leaf, radius) -> (d_p,
-    payload)`` completes it (``None``: the leaf is complete as it is), and
-    the radius becomes ``d_leaf + d_p`` on strict improvement only, so ties
-    keep the first solution found.  ``z`` and ``r`` are converted once to
-    plain Python floats, so the per-node arithmetic (and ``d_leaf``,
-    ``radius`` and the returned distance) never goes through NumPy scalars.
+    Every level enumerates the levels of ``pam`` in exact S-E order from its
+    conditional centre ``acc / r_ii``, ``acc = z_i - sum_k r_ik s_k``, so
+    the increments along a sibling loop are nondecreasing and the loop stops
+    at the first child outside the radius.  ``tables`` picks how the order
+    and ``acc`` are found:
+
+    * ``False`` (centred): at every expanded node, the inner product over
+      the row (``n - 1 - i`` mults) and one division;
+    * ``True`` (tables): looked up from a per-decode table, for an ``r``
+      with the pattern of the two-stage decoder's tree block.  In each block
+      of four levels, the rows of the first two couple only to the level two
+      above (``r_i,i+2``), and the rows of the last two are diagonal.  A
+      diagonal row's entry is its fixed centre ``z_i / r_ii``.  A coupled
+      row has one entry per value of the level it couples to,
+      ``acc = z_i - r_i,i+2 s_i+2``.  Each entry is built on first use, at
+      most once per (level, parent value), for one mult (coupled rows only)
+      and one division; no node divides, and no inner product runs over the
+      structural zeros of ``r``.
+
+    Every evaluated child costs 2 mults.  A full-depth candidate inside the
+    radius is a leaf; ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)``
+    completes it (``None``: the leaf is complete as it is), and the radius
+    becomes ``d_leaf + d_p`` on strict improvement only, so ties keep the
+    first solution found.  ``z`` and ``r`` are converted once to plain
+    Python floats, so the per-node arithmetic (and ``d_leaf``, ``radius``
+    and the returned distance) never goes through NumPy scalars.
 
     Returns ``(best_s, best_payload, best_distance)``.
     """
@@ -56,23 +77,41 @@ def tree_search(z, r, order, leaf_fn, counters):
     n = len(z)
     require_full_rank([rows[i][i] for i in range(n)])
     s = [0.0] * n
-    centred = isinstance(order, PamSet)
+    # entry of level i under parent PAM index k (0 for a diagonal row): acc
+    # at 2 * (order * i + k), the S-E order one slot up; None until built.
+    # One flat list of floats and the PamSet's shared order tuples, because
+    # it is left to the cyclic GC with the closure cycle of descend: it adds
+    # one object per decode, as the fixed tables it replaced did (see
+    # simplified_ml)
+    table = [None] * (2 * pam.order * n) if tables else None
     radius = math.inf
     best = best_payload = None
 
     def descend(i, dist):
         nonlocal radius, best, best_payload
         row = rows[i]
-        acc = z[i]
-        for k in range(i + 1, n):
-            acc -= row[k] * s[k]
-        counters.mults += n - 1 - i
         rii = row[i]
-        if centred:
-            children = se_order(acc / rii, order)
+        if table is None:
+            acc = z[i]
+            for k in range(i + 1, n):
+                acc -= row[k] * s[k]
+            counters.mults += n - 1 - i
+            children = se_order(acc / rii, pam)
             counters.divs += 1
         else:
-            children = order[i]
+            at = 2 * pam.order * i
+            coupled = i % 4 < 2  # else row i is diagonal
+            if coupled:
+                at += 2 * pam.level_tuple.index(s[i + 2])
+            children = table[at + 1]
+            if children is None:
+                acc = z[i] - row[i + 2] * s[i + 2] if coupled else z[i]
+                children = table[at + 1] = se_order(acc / rii, pam)
+                table[at] = acc
+                counters.mults += coupled
+                counters.divs += 1
+            else:
+                acc = table[at]
         for cand in children:
             s[i] = cand
             counters.tree_nodes += 1
@@ -90,7 +129,7 @@ def tree_search(z, r, order, leaf_fn, counters):
                     radius = d_total
                     best = s.copy()
                     best_payload = payload
-            elif centred:
+            else:
                 break  # later siblings are at least this far
 
     descend(n - 1, 0.0)

@@ -16,8 +16,15 @@ check is relative to its own scale (``max|R|`` for entries of R,
 ``max|H_eq|^2`` for Gram entries), so it holds at any channel scale.
 :func:`verify_r_structure` is report-only.  The original symbol ordering
 keeps the real/imaginary decoupling but breaks the claims named in
-``ORIGINAL_BREAKS``.  :func:`gram_cross` alone is the guard the two-stage
-decoder runs on its input.
+``ORIGINAL_BREAKS``.
+
+The two-stage decoder's guard is :func:`two_stage_zeros`, run on the R
+factor it decodes with: it checks every entry that either stage reads as
+zero.  That covers the leading 8x8 block above and the same pattern in the
+trailing 8x8 block, the tree stage's (rows 9-12 null in columns 13-16, and
+the within-block zeros of both 4x4 diagonal blocks).  A Gram cross check
+alone does not suffice: a channel with the zero Gram cross block but
+without the within-block zeros decodes to a non-ML answer.
 """
 
 from __future__ import annotations
@@ -36,8 +43,35 @@ REL_TOL = 1e-9
 ORIGINAL_BREAKS = ("r12_block", "gram_cross")
 
 
+# The only coupled (row, column) pairs inside an 8x8 diagonal block of R, in
+# block coordinates: the parallel decisions solve them in the leading block,
+# the tree search looks them up in the trailing one.
+COUPLED_DIMS = ((0, 2), (1, 3), (4, 6), (5, 7))
+# (rows, columns) of every entry of R that the two-stage decoder reads as
+# zero: the rest of the strictly upper triangle of both 8x8 diagonal blocks
+TWO_STAGE_ZEROS = tuple(
+    np.array(index)
+    for index in zip(*(
+        (base + i, base + j)
+        for base in (0, 8)
+        for i in range(8)
+        for j in range(i + 1, 8)
+        if (i, j) not in COUPLED_DIMS
+    ))
+)
+
+
 def _relative(value, scale):
     return value / scale if scale > 0 else value
+
+
+def two_stage_zeros(r):
+    """Largest ``|r_jk|`` over the entries of the 16x16 R factor that the
+    two-stage decoder reads as zero (``TWO_STAGE_ZEROS``), relative to
+    ``max|R|``.  At or below ``REL_TOL`` both stages of the decode are exact
+    ML on ``r``; above it they can return a non-ML answer."""
+    r = np.asarray(r, dtype=float)
+    return _relative(float(np.abs(r[TWO_STAGE_ZEROS]).max()), float(np.abs(r).max()))
 
 
 def gram_cross(h_eq):

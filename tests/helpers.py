@@ -50,6 +50,16 @@ def random_branch_fixture(rng, pam):
     return v, r
 
 
+def tree_pattern_r(rng):
+    """Random 8x8 R with the pattern of the two-stage tree block: rows 0, 1,
+    4 and 5 couple only to the level two above, rows 2, 3, 6 and 7 are
+    diagonal."""
+    r = np.diag(0.5 + np.abs(rng.standard_normal(8)))
+    for i1, i2 in BRANCH_DIMS:
+        r[i1, i2] = rng.standard_normal()
+    return r
+
+
 def branch_oracle(v1, v2, r11, r12, r22, pam):
     """Exhaustive 2-dim PAM argmin for one parallel branch."""
     best, best_d = None, math.inf

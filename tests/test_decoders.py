@@ -8,6 +8,7 @@ from helpers import (
     parallel_decisions_lockstep,
     random_branch_fixture,
     random_instance,
+    tree_pattern_r,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,9 @@ from mimo3d.decoders.simplified import (
     zf_estimate,
 )
 from mimo3d.decoders.sphere import sd_baseline, tree_search
+from mimo3d.decoders.structure import REL_TOL, gram_cross, two_stage_zeros
 from mimo3d.linalg import RankDeficiencyError, gram_schmidt_qr, tilde_interleave
+from mimo3d.modem import se_order
 
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
@@ -141,6 +144,24 @@ def test_simplified_refuses_original_ordering(scale):
         with pytest.raises(ValueError) as err:
             simplified_ml(eq_orig.h_eq @ st + w, eq_orig.h_eq, QPSK)
         assert not isinstance(err.value, RankDeficiencyError)
+
+
+def test_simplified_refuses_channels_without_the_r_structure():
+    # a generic channel with columns 4-7 orthogonal to columns 0-3 has the
+    # zero Gram cross block of the "new" ordering but not the within-block
+    # zeros of R; checked on the Gram block alone, the two-stage decoders
+    # returned a non-ML metric on 12 of these 120 decodes
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((16, 16))
+        q, _ = np.linalg.qr(h[:, :4])
+        h[:, 4:8] -= q @ (q.T @ h[:, 4:8])
+        assert gram_cross(h) <= REL_TOL
+        y = h @ tilde_interleave(QPSK.points[rng.integers(0, 4, 8)]) + 0.5 * rng.standard_normal(16)
+        for name in ("simplified", "simplified-cs4", "simplified-cs2"):
+            with pytest.raises(ValueError, match="R zero structure") as err:
+                get_decoder(name)(y, h, QPSK)
+            assert not isinstance(err.value, RankDeficiencyError)
 
 
 def test_simplified_noiseless_single_leaf():
@@ -430,17 +451,18 @@ def test_equal_columns_raise_at_every_scale(scale):
 
 
 def test_tree_search_relative_rank_rule():
+    # both policies, on an R with the tree block's pattern
     rng = np.random.default_rng(13)
-    r = np.triu(rng.standard_normal((8, 8))) + 3.0 * np.eye(8)
     z = rng.standard_normal(8)
-    tables = [QPSK.pam.level_tuple] * 8
     scale = 2.0**-46
-    want = tree_search(z, r, tables, None, OpCounters())
-    got = tree_search(z * scale, r * scale, tables, None, OpCounters())
-    assert got[0] == want[0] and got[2] == want[2] * scale**2
-    r[3, 3] = 1e-13 * np.diag(r).max()
-    with pytest.raises(RankDeficiencyError):
-        tree_search(z * scale, r * scale, tables, None, OpCounters())
+    for tables in (False, True):
+        r = tree_pattern_r(rng)
+        want = tree_search(z, r, QPSK.pam, None, OpCounters(), tables=tables)
+        got = tree_search(z * scale, r * scale, QPSK.pam, None, OpCounters(), tables=tables)
+        assert got[0] == want[0] and got[2] == want[2] * scale**2
+        r[3, 3] = 1e-13 * np.diag(r).max()
+        with pytest.raises(RankDeficiencyError):
+            tree_search(z * scale, r * scale, QPSK.pam, None, OpCounters(), tables=tables)
 
 
 def test_column_switch_none_is_identity():
@@ -533,7 +555,9 @@ def test_all_allowed_orders_preserve_structure():
         for order in ALLOWED_ORDERS:
             cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
             h_perm = eq.h_eq[:, cols]
-            assert verify_r_structure(gram_schmidt_qr(h_perm).r, h_perm).ok
+            r = gram_schmidt_qr(h_perm).r
+            assert verify_r_structure(r, h_perm).ok
+            assert two_stage_zeros(r) <= REL_TOL  # the tree block's pattern too
 
 
 def test_zf_estimate_shapes_and_errors():
@@ -566,24 +590,88 @@ def test_zf_estimate_noiseless_and_linear():
 
 
 def test_tree_search_toy_trace():
-    # hand-traced 2-level fixture: root level (dim 2) candidates +1 then -1,
-    # leaf level candidates +1 then -1
-    #   (+1): d = (0.8 - 1)^2 = 0.04
-    #     (+1, +1): d = 0.04 + (0.4 - 0.5 - 1)^2 = 1.25 -> radius 1.25
-    #     (-1, +1): d = 0.04 + (0.4 - 0.5 + 1)^2 = 0.85 -> radius 0.85
-    #   (-1): d = (0.8 + 1)^2 = 3.24 >= 0.85 -> pruned
+    # hand-traced 4-level fixture for the table policy.  R is sqrt(2) times
+    # [[1, 0, .5, 0], [0, 1, 0, .5], [0, 0, 1, 0], [0, 0, 0, 1]], so the QPSK
+    # levels act as +-1; rows 2 and 3 are diagonal, row 1 couples to level 3
+    # and row 0 to level 2.  z = (0.1, 0.45, -0.9, 0.25).  Built entries
+    # are marked *; each costs a division, a coupled one also a mult.
+    #   s3 +1* (centre .25): d = .5625
+    #     s2 -1* (centre -.9): d = .5725
+    #       s1 -1* (s3 = +1, centre -.05): d = 1.475
+    #         s0 +1* (s2 = -1, centre .6): d = 1.635 -> leaf, radius 1.635
+    #         s0 -1: d = 4.035, cut
+    #       s1 +1: d = 1.675, cut
+    #     s2 +1: d = 4.1825, cut
+    #   s3 -1: d = 1.5625
+    #     s2 -1 (cached): d = 1.5725
+    #       s1 +1* (s3 = -1, centre .95): d = 1.575
+    #         s0 +1 (cached): d = 1.735, cut
+    #       s1 -1: d = 5.375, cut
+    #     s2 +1: d = 5.1725, cut
     counters = OpCounters()
-    tables = [(1.0, -1.0), (1.0, -1.0)]
-    r_tail = np.array([[1.0, 0.5], [0.0, 1.0]])
+    r = math.sqrt(2.0) * np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
+                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    z = [0.1, 0.45, -0.9, 0.25]
     best, payload, radius = tree_search(
-        [0.4, 0.8], r_tail, tables, lambda s, d, rad: (0.0, None), counters
+        z, r, QPSK.pam, lambda s, d, rad: (0.0, None), counters, tables=True
     )
-    assert best == [-1.0, 1.0]
+    a = QPSK.pam.level_tuple[1]
+    assert best == [a, -a, -a, a]
     assert payload is None
-    assert abs(radius - 0.85) < 1e-15
-    assert counters.tree_nodes == 4
-    assert counters.leaves == 2
-    assert counters.mults == 9  # 1 parent dot term + 2 per candidate
+    assert abs(radius - 1.635) < 1e-12
+    assert counters.tree_nodes == 13
+    assert counters.leaves == 1
+    assert counters.mults == 29  # 2 per candidate, 1 per coupled entry built
+    assert counters.divs == 5  # 1 per entry built
+
+
+# where a tree level's conditional centre sits: on a PAM level, exactly
+# halfway between two (an S-E tie), or at a random offset from a level
+CENTRES = ("level", "tie", "offset")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-40, 40), m=st.sampled_from([4, 16, 64]),
+       centres=st.lists(st.sampled_from(CENTRES), min_size=8, max_size=8))
+def test_table_policy_matches_centred_policy(seed, k, m, centres):
+    # on an R with the tree block's pattern, scaled by 2^k, the table policy
+    # runs the same search as the centred one: same nodes, leaves, symbols
+    # and distance, bit for bit
+    pam = QAMS[m].pam
+    levels = pam.level_tuple
+    rng = derive_rng(seed)
+    r = tree_pattern_r(rng)
+    s = [levels[j] for j in rng.integers(0, len(levels), 8)]
+    z = []
+    for i, kind in enumerate(centres):
+        j = int(rng.integers(0, len(levels) - 1))
+        if kind == "tie":
+            t = (levels[j] + levels[j + 1]) / 2
+        else:
+            t = levels[j] + (rng.uniform(-0.5, 0.5) * pam.spacing if kind == "offset" else 0.0)
+        z.append(r[i, i] * t + (r[i, i + 2] * s[i + 2] if i % 4 < 2 else 0.0))
+    r, z = r * 2.0**k, np.array(z) * 2.0**k
+    runs = []
+    for tables in (False, True):
+        c = OpCounters()
+        best, _, dist = tree_search(z, r, pam, None, c, tables=tables)
+        runs.append((best, dist, c.tree_nodes, c.leaves))
+    assert runs[0] == runs[1]
+
+    # every order the table policy can look up, one per (level, parent
+    # value): its distances are nondecreasing, up to the rounding of the
+    # centre and of acc - r_ii * level (an exact tie can come out either way
+    # by a few ulps, for both policies alike)
+    eps = np.finfo(float).eps
+    rows, z = r.tolist(), z.tolist()
+    for i in range(8):
+        rii = rows[i][i]
+        for parent in levels if i % 4 < 2 else (None,):
+            acc = z[i] if parent is None else z[i] - rows[i][i + 2] * parent
+            resid = [acc - rii * c for c in se_order(acc / rii, pam)]
+            slack = 4 * eps * (abs(acc) + rii * levels[-1])
+            for ra, rb in zip(resid, resid[1:]):
+                assert rb * rb >= ra * ra - slack * (abs(ra) + abs(rb)) - 2 * eps * ra * ra
 
 
 @pytest.mark.parametrize("order", ["centred", "tables"])
@@ -593,15 +681,16 @@ def test_tree_search_runs_on_plain_floats(order):
     rng = derive_rng(225)
     _, eq, y = random_instance(rng, QAM16, 12.0)
     r, z = gram_schmidt_qr(eq.h_eq, y)
-    pam = QAM16.pam
-    policy = pam if order == "centred" else [pam.level_tuple] * 16
+    tables = order == "tables"
+    if tables:  # the tree block, whose pattern the table policy needs
+        r, z = r[8:, 8:], z[8:]
     seen = []
 
     def leaf(s, d_leaf, radius):
         seen.append((type(d_leaf), type(radius)))
         return 0.0, None
 
-    _, _, dist = tree_search(z, r, policy, leaf, OpCounters())
+    _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters(), tables=tables)
     assert type(dist) is float
     assert seen and set(seen) == {(float, float)}
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mimo3d import cli
 from mimo3d.cli import main
 from mimo3d.counters import OpCounters
 from mimo3d.decoders import DecodeResult, REGISTRY
@@ -312,6 +313,7 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     (["verify-structure", "--trials", "-5", "--seed", "1"], "trials"),
     (["verify-structure", "--trials", "3", "--seed", "-1"], "seed"),
     (["summarize", "--in", "header-only.csv"], "no rows"),
+    (["summarize", "--in", "missing.csv"], "missing.csv"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -322,6 +324,19 @@ def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeyp
     captured = capsys.readouterr()
     assert word in captured.err and captured.out == ""
     assert not (tmp_path / "cli.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["no/such/dir/x.csv", "."])
+def test_cli_refuses_an_unwritable_out_before_the_sweep(out, tmp_path, monkeypatch, capsys):
+    # a directory, or a file in a missing directory, is refused before the
+    # first trial, not after the whole sweep when write_csv opens it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(SWEEP_ARGV + ["--out", out])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--out {out}" in captured.err and captured.out == ""
 
 
 def test_cli_lets_decode_errors_propagate(tmp_path, monkeypatch):
