@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ..linalg import complex_from_interleaved, require_full_rank
-from ..modem import PamSet, se_order
+from ..modem import se_order
 from .result import DecodeResult
 
 
@@ -79,10 +79,9 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     s = [0.0] * n
     # entry of level i under parent PAM index k (0 for a diagonal row): acc
     # at 2 * (order * i + k), the S-E order one slot up; None until built.
-    # One flat list of floats and the PamSet's shared order tuples, because
-    # it is left to the cyclic GC with the closure cycle of descend: it adds
-    # one object per decode, as the fixed tables it replaced did (see
-    # simplified_ml)
+    # The closure cycle of descend leaves the table to the cyclic GC, so it
+    # is one flat list of floats and the PamSet's shared order tuples: it
+    # adds no object but itself to what a decode leaves (see simplified_ml)
     table = [None] * (2 * pam.order * n) if tables else None
     radius = math.inf
     best = best_payload = None

@@ -42,23 +42,23 @@ REL_TOL = 1e-9
 # keeps the two within-block patterns.
 ORIGINAL_BREAKS = ("r12_block", "gram_cross")
 
-
 # The only coupled (row, column) pairs inside an 8x8 diagonal block of R, in
 # block coordinates: the parallel decisions solve them in the leading block,
 # the tree search looks them up in the trailing one.
 COUPLED_DIMS = ((0, 2), (1, 3), (4, 6), (5, 7))
-# (rows, columns) of every entry of R that the two-stage decoder reads as
-# zero: the rest of the strictly upper triangle of both 8x8 diagonal blocks
-TWO_STAGE_ZEROS = tuple(
-    np.array(index)
-    for index in zip(*(
-        (base + i, base + j)
-        for base in (0, 8)
-        for i in range(8)
-        for j in range(i + 1, 8)
-        if (i, j) not in COUPLED_DIMS
-    ))
-)
+
+
+def _two_stage_zero_mask():
+    block = np.triu(np.ones((8, 8), dtype=bool), k=1)
+    for i, j in COUPLED_DIMS:
+        block[i, j] = False
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[:8, :8] = mask[8:, 8:] = block
+    return mask
+
+
+# every entry of the 16x16 R that the two-stage decoder reads as zero
+_TWO_STAGE_ZEROS = _two_stage_zero_mask()
 
 
 def _relative(value, scale):
@@ -67,11 +67,12 @@ def _relative(value, scale):
 
 def two_stage_zeros(r):
     """Largest ``|r_jk|`` over the entries of the 16x16 R factor that the
-    two-stage decoder reads as zero (``TWO_STAGE_ZEROS``), relative to
-    ``max|R|``.  At or below ``REL_TOL`` both stages of the decode are exact
+    two-stage decoder reads as zero, relative to ``max|R|``: outside the
+    pairs ``COUPLED_DIMS``, the strictly upper triangle of both 8x8 diagonal
+    blocks.  At or below ``REL_TOL`` both stages of the decode are exact
     ML on ``r``; above it they can return a non-ML answer."""
     r = np.asarray(r, dtype=float)
-    return _relative(float(np.abs(r[TWO_STAGE_ZEROS]).max()), float(np.abs(r).max()))
+    return _relative(float(np.abs(r[_TWO_STAGE_ZEROS]).max()), float(np.abs(r).max()))
 
 
 def gram_cross(h_eq):
