@@ -11,6 +11,11 @@ refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` that does not hold 16
 entries, and a NaN or inf in either argument, with a :class:`ValueError`
 that names the argument (:func:`~mimo3d.linalg.require_decodable`).
 
+Each decode runs its guards once, at the entry: that input check, the rank
+rule in :func:`~mimo3d.linalg.gram_schmidt_qr` and, for the two-stage
+decoder, its switch mode, the singular zero-forcing solve and
+:func:`~.structure.two_stage_zeros`.  The stages take these as given.
+
 Ties: where two candidates are equally close to ``y`` in exact arithmetic,
 rounding decides between them, and different decoders may return different
 members of that tie class.  Each returns one of them, and the reported

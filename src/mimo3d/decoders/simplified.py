@@ -35,7 +35,7 @@ refuses an R without it (:func:`~.structure.two_stage_zeros`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from ..linalg import (
     back_substitute,  # noqa: F401
     gram_schmidt_qr,
     require_decodable,
-    require_full_rank,
 )
 from ..modem import se_order, slice_pam
 from .result import DecodeResult
@@ -69,18 +68,12 @@ _COLUMNS = {
     for order in ALLOWED_ORDERS
 }
 
-# (s1-role dim, s2-role dim) of each parallel branch, 0-based real indices:
-# branch 0/1 handle re/im of the first symbol pair, 2/3 of the second.
-BRANCH_DIMS = COUPLED_DIMS
-
-
 @dataclass(frozen=True)
 class ColumnSwitchPlan:
     """Chosen decode order and the reliability metrics that selected it."""
 
-    mode: str
-    order: tuple = _IDENTITY
-    epsilons: dict = field(default_factory=dict)
+    order: tuple
+    epsilons: dict
 
     @property
     def is_identity(self):
@@ -92,23 +85,16 @@ def zf_estimate(h_eq, y):
 
     One LU solve (``np.linalg.solve``) of the square equivalent channel, run
     before any factorization so that the column switch can choose the decode
-    order first.  ``y`` may be shaped (n,) or (n, 1).  Returns the complex
-    symbols as a dtype view of the fresh interleaved solution, so
-    ``s.view(float)`` reads it back bit for bit.  Linear in ``y``.
+    order first.  ``h_eq`` and ``y`` come checked, as float arrays with
+    ``y`` ravelled (:func:`simplified_ml`).  Returns the complex symbols as
+    a dtype view of the fresh interleaved solution, so ``s.view(float)``
+    reads it back bit for bit.  Linear in ``y``.
 
     Raises
     ------
-    ValueError
-        If ``h_eq`` is not square, or ``y`` does not match it.
     RankDeficiencyError
         If ``h_eq`` is exactly singular (LU meets a zero pivot).
     """
-    h_eq = np.asarray(h_eq, dtype=float)
-    if h_eq.ndim != 2 or h_eq.shape[0] != h_eq.shape[1]:
-        raise ValueError(f"h_eq has shape {h_eq.shape}; the zero-forcing solve needs it square")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != h_eq.shape[0]:
-        raise ValueError(f"y has {y.size} entries; h_eq has {h_eq.shape[0]} rows")
     try:
         x = np.linalg.solve(h_eq, y)
     except np.linalg.LinAlgError as err:
@@ -123,20 +109,16 @@ def column_switch(s_zf, h_eq, mode, constellation):
     symbol group measures how well the linear estimate already resolves it.
     The worse half goes to the tree stage; in ``2by2`` mode the worse pair
     inside the tree half is additionally moved toward the root, mirrored in
-    the other half to keep the R structure.  Returns ``h_eq`` with column
-    pairs permuted accordingly (``h_eq`` itself for the identity order) plus
-    the plan for de-permutation.
+    the other half to keep the R structure; ``mode`` is "4by4" or "2by2",
+    as :func:`simplified_ml` checked it.  Returns ``h_eq`` with column pairs
+    permuted accordingly (``h_eq`` itself for the identity order) plus the
+    plan for de-permutation.
 
     The eight estimates are read once into Python floats; each error is
     ``abs(complex(Q(re) - re, Q(im) - im)) ** 2``, the same bits as
     ``abs(complex(Q(v.real), Q(v.imag)) - v) ** 2`` on the complex entry
     ``v``.
     """
-    if mode not in SWITCH_MODES:
-        raise ValueError(f"unknown switch mode {mode!r}; expected one of {SWITCH_MODES}")
-    if mode == "none":
-        return h_eq, ColumnSwitchPlan(mode="none")
-
     s_zf = np.asarray(s_zf, dtype=complex)
     pam = constellation.pam
     err = [
@@ -155,7 +137,6 @@ def column_switch(s_zf, h_eq, mode, constellation):
         if mode == "2by2" and e34 < e12:
             order = _PAIR_AND_HALF_SWAP
     plan = ColumnSwitchPlan(
-        mode=mode,
         order=order,
         epsilons={"e12": e12, "e34": e34, "e14": e14, "e56": e56, "e78": e78, "e58": e58},
     )
@@ -181,7 +162,7 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     """Four synchronized 2-dim PAM searches; returns ``(a_hat, b_hat, d_p)``.
 
     Branch b solves ``min (v1 - r11 s1 - r12 s2)^2 + (v2 - r22 s2)^2`` over
-    the PAM grid using the entries of R named by ``BRANCH_DIMS[b]``: an S-E
+    the PAM grid using the entries of R named by ``COUPLED_DIMS[b]``: an S-E
     loop over s2 (ordered by the branch's own unconstrained estimate
     ``v2 / r22``, so partial distances ascend), with s1 obtained by slicing
     ``(v1 - r12 s2) / r11``.  Iteration j of all branches completes before
@@ -195,7 +176,7 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
     before any decision, which only happens at already-hopeless leaves).
-    The eight diagonal entries read must pass :func:`require_full_rank`.
+    The diagonal of ``r`` must have passed the rank rule (``gram_schmidt_qr``).
 
     The stop test of a branch reads only the finished branches, and its
     slice-and-update reads only its own state, so each live branch runs its
@@ -206,15 +187,13 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     is the same float a fresh sum would give; the counters are summed
     locally and added once.
     """
-    diag = [float(r[i][i]) for i in range(8)]
-    require_full_rank(diag)
     n = pam.order
     # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, then its
     # state: best distance, its s1 and s2, steps run once it has stopped
     branches = []
-    for i1, i2 in BRANCH_DIMS:
-        v2, r22 = float(v[i2]), diag[i2]
-        branches.append([float(v[i1]), diag[i1], float(r[i1][i2]), v2, r22,
+    for i1, i2 in COUPLED_DIMS:
+        v2, r22 = float(v[i2]), float(r[i2][i2])
+        branches.append([float(v[i1]), float(r[i1][i1]), float(r[i1][i2]), v2, r22,
                          se_order(v2 / r22, pam), math.inf, None, None, 0])
     live = branches.copy()
     finished = 0.0  # sum of the finished branches' minima, in branch order
@@ -273,7 +252,8 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     naming the argument when ``h_eq`` is not 16x16, ``y_tilde`` does not
     hold 16 entries, or either holds a NaN or inf
     (:func:`~mimo3d.linalg.require_decodable`), and propagates
-    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.
+    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.  An
+    unknown ``switch_mode`` is refused first.  No stage checks again.
 
     With a column switch, the zero-forcing estimate comes from one LU solve
     of ``h_eq`` (:func:`zf_estimate`), and the switch reads it to choose the
@@ -292,6 +272,8 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
     square; the registry entries report the received-domain value.
     """
+    if switch_mode not in SWITCH_MODES:
+        raise ValueError(f"unknown switch mode {switch_mode!r}; expected one of {SWITCH_MODES}")
     require_decodable(y_tilde, h_eq)
     h_eq = np.asarray(h_eq, dtype=float)
     counters = OpCounters()
@@ -302,12 +284,12 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     # order, a second QR and rotation of H_eq P
     charge_qr(counters, 16, 16)
     charge_matvec(counters, 16, 16)
-    if switch_mode == "none":
-        plan = ColumnSwitchPlan(mode="none")
-    else:
+    order = _IDENTITY
+    if switch_mode != "none":
         s_zf = zf_estimate(h_eq, y)
         charge_backsolve(counters, 16)
         h_eq, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
+        order = plan.order
         counters.mults += 16  # |Q(s_zf) - s_zf|^2 over 8 complex entries
         if not plan.is_identity:
             charge_qr(counters, 16, 16)
@@ -345,6 +327,6 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     a_hat, b_hat = payload
     decided = (*a_hat, *b_hat, *best_outer)  # re, im of each decode position
     symbols = [0j] * 8
-    for pos, sym in enumerate(plan.order):
+    for pos, sym in enumerate(order):
         symbols[sym] = complex(decided[2 * pos], decided[2 * pos + 1])
     return DecodeResult(symbols=np.array(symbols), metric=dist, counters=counters)

@@ -32,17 +32,20 @@ import math
 
 import numpy as np
 
-from ..linalg import complex_from_interleaved, require_full_rank
+from ..linalg import complex_from_interleaved
 from ..modem import se_order
 from .result import DecodeResult
+from .structure import COUPLED_DIMS
+
+# the level each row of the tree block couples to; None for a diagonal row
+_COUPLED_LEVEL = tuple(dict(COUPLED_DIMS).get(i) for i in range(8))
 
 
 def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     """Depth-first search of ``min ||z - R s||^2`` for upper-triangular ``r``.
 
-    ``r`` must have a positive diagonal (``gram_schmidt_qr`` output); a
-    diagonal entry below ``RANK_TOL`` times the largest raises
-    :class:`~mimo3d.linalg.RankDeficiencyError` (:func:`require_full_rank`).
+    ``r`` must have passed the rank rule (``gram_schmidt_qr`` output, or a
+    diagonal block of it): the search divides by its diagonal unchecked.
     Every level enumerates the levels of ``pam`` in exact S-E order from its
     conditional centre ``acc / r_ii``, ``acc = z_i - sum_k r_ik s_k``, so
     the increments along a sibling loop are nondecreasing and the loop stops
@@ -52,15 +55,14 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     * ``False`` (centred): at every expanded node, the inner product over
       the row (``n - 1 - i`` mults) and one division;
     * ``True`` (tables): looked up from a per-decode table, for an ``r``
-      with the pattern of the two-stage decoder's tree block.  In each block
-      of four levels, the rows of the first two couple only to the level two
-      above (``r_i,i+2``), and the rows of the last two are diagonal.  A
-      diagonal row's entry is its fixed centre ``z_i / r_ii``.  A coupled
-      row has one entry per value of the level it couples to,
-      ``acc = z_i - r_i,i+2 s_i+2``.  Each entry is built on first use, at
-      most once per (level, parent value), for one mult (coupled rows only)
-      and one division; no node divides, and no inner product runs over the
-      structural zeros of ``r``.
+      with the pattern of the two-stage decoder's tree block: a row i
+      paired with a level j in ``COUPLED_DIMS`` couples only to it
+      (``r_ij``), and every other row is diagonal.  A diagonal row's entry
+      is its fixed centre ``z_i / r_ii``.  A coupled row has one entry per
+      value of s_j, ``acc = z_i - r_ij s_j``.  Each entry is built on first
+      use, at most once per (level, parent value), for one mult (coupled
+      rows only) and one division; no node divides, and no inner product
+      runs over the structural zeros of ``r``.
 
     Every evaluated child costs 2 mults.  A full-depth candidate inside the
     radius is a leaf; ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)``
@@ -75,7 +77,6 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     rows = np.asarray(r, dtype=float).tolist()
     z = np.asarray(z, dtype=float).ravel().tolist()
     n = len(z)
-    require_full_rank([rows[i][i] for i in range(n)])
     s = [0.0] * n
     # entry of level i under parent PAM index k (0 for a diagonal row): acc
     # at 2 * (order * i + k), the S-E order one slot up; None until built.
@@ -99,15 +100,15 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
             counters.divs += 1
         else:
             at = 2 * pam.order * i
-            coupled = i % 4 < 2  # else row i is diagonal
-            if coupled:
-                at += 2 * pam.level_tuple.index(s[i + 2])
+            j = _COUPLED_LEVEL[i]
+            if j is not None:
+                at += 2 * pam.level_tuple.index(s[j])
             children = table[at + 1]
             if children is None:
-                acc = z[i] - row[i + 2] * s[i + 2] if coupled else z[i]
+                acc = z[i] if j is None else z[i] - row[j] * s[j]
                 children = table[at + 1] = se_order(acc / rii, pam)
                 table[at] = acc
-                counters.mults += coupled
+                counters.mults += j is not None
                 counters.divs += 1
             else:
                 acc = table[at]

@@ -33,9 +33,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# Asserted-zero strictly-upper positions inside a 4x4 diagonal block.
-BLOCK_ZERO_POSITIONS = ((0, 1), (0, 3), (1, 2), (2, 3))
-
 REL_TOL = 1e-9
 
 # The claims the original codeword ordering breaks on a generic channel; it
@@ -43,8 +40,9 @@ REL_TOL = 1e-9
 ORIGINAL_BREAKS = ("r12_block", "gram_cross")
 
 # The only coupled (row, column) pairs inside an 8x8 diagonal block of R, in
-# block coordinates: the parallel decisions solve them in the leading block,
-# the tree search looks them up in the trailing one.
+# block coordinates.  In the leading block, pair b is parallel branch b,
+# (s1-role dim, s2-role dim): branches 0/1 handle re/im of the first symbol
+# pair, 2/3 of the second.  The tree search looks them up in the trailing one.
 COUPLED_DIMS = ((0, 2), (1, 3), (4, 6), (5, 7))
 
 
@@ -90,7 +88,7 @@ class StructureReport:
     ``REL_TOL``."""
 
     r12_block: float   # max |R[0:4, 4:8]| / max |R|
-    r11_zeros: float   # max over BLOCK_ZERO_POSITIONS in R[0:4, 0:4], / max |R|
+    r11_zeros: float   # max |R[0:4, 0:4]| over its asserted zeros, / max |R|
     r22_zeros: float   # same pattern in R[4:8, 4:8]
     gram_cross: float  # gram_cross(h_eq)
 
@@ -117,8 +115,8 @@ def verify_r_structure(r, h_eq):
     r = np.asarray(r, dtype=float)
     r_max = float(np.abs(r).max())
     r12 = float(np.abs(r[0:4, 4:8]).max())
-    r11 = max(abs(float(r[i, j])) for i, j in BLOCK_ZERO_POSITIONS)
-    r22 = max(abs(float(r[4 + i, 4 + j])) for i, j in BLOCK_ZERO_POSITIONS)
+    r11 = float(np.abs(r[0:4, 0:4][_TWO_STAGE_ZEROS[0:4, 0:4]]).max())
+    r22 = float(np.abs(r[4:8, 4:8][_TWO_STAGE_ZEROS[4:8, 4:8]]).max())
     return StructureReport(
         r12_block=_relative(r12, r_max),
         r11_zeros=_relative(r11, r_max),

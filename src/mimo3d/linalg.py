@@ -133,16 +133,12 @@ def _strictly_lower(n):
 
 def require_full_rank(diag):
     """Raise :class:`RankDeficiencyError` unless every entry of ``diag``, the
-    diagonal (or part of it) of an R factor, is positive and at least
-    ``RANK_TOL`` times the largest entry: ``r_jj < RANK_TOL * max_k r_kk``
-    is rank deficiency at any scale.  A NaN entry fails the rule."""
+    diagonal of an R factor, is positive and at least ``RANK_TOL`` times the
+    largest entry: ``r_jj < RANK_TOL * max_k r_kk`` is rank deficiency at
+    any scale.  A NaN entry fails the rule.  Runs once per decode, in
+    :func:`gram_schmidt_qr`."""
     top = max(diag)
     floor = RANK_TOL * top
-    # the common case, without a Python-level loop; min and max skip a NaN
-    # that is not first, the sum is NaN if any entry is
-    total = sum(diag)
-    if min(diag) >= floor > 0.0 and total == total:
-        return
     for j, d in enumerate(diag):
         if not (d > 0.0 and d >= floor):  # also true for a NaN entry or floor
             raise RankDeficiencyError(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import os
 import typing
 from dataclasses import dataclass, fields
 
@@ -158,12 +159,13 @@ def run_sweep(config):
     """Run the sweep; returns ``(rows, resample_count)``.
 
     Rows come out in (decoder, snr) order.  Trial-level parallelism via
-    ``config.workers`` changes nothing but wall time: per-trial streams and
-    integer accumulators make the result independent of scheduling.
+    ``config.workers``, capped at the trial count and at ``os.cpu_count()``,
+    changes nothing but wall time: per-trial streams and integer
+    accumulators make the result independent of scheduling.
     """
     config.validate()
     trials = config.trials
-    workers = min(config.workers, trials)
+    workers = min(config.workers, trials, os.cpu_count() or 1)
     if workers <= 1:
         tallies, resamples = _run_block(config, 0, trials)
     else:
@@ -214,11 +216,23 @@ def write_csv(rows, path):
 
 
 def read_csv(path):
-    """Parse a sweep CSV back into rows, each column as its field's type."""
+    """Parse a sweep CSV back into rows, each column as its field's type.
+
+    Raises :class:`ValueError` naming the line and the column when the
+    header lacks a column or a row is too short to fill one."""
     types = typing.get_type_hints(SweepRow)
+    rows = []
     with open(path, newline="") as fh:
-        return [SweepRow(**{name: types[name](rec[name]) for name in CSV_HEADER})
-                for rec in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for name in CSV_HEADER:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path} line 1: the header has no column {name!r}")
+        for rec in reader:
+            for name in CSV_HEADER:
+                if rec[name] is None:
+                    raise ValueError(f"{path} line {reader.line_num}: no value in column {name!r}")
+            rows.append(SweepRow(**{name: types[name](rec[name]) for name in CSV_HEADER}))
+    return rows
 
 
 def summarize(rows):

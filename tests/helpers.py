@@ -10,7 +10,8 @@ from mimo3d import (
     sample_channel,
     snr_to_sigma2,
 )
-from mimo3d.decoders.simplified import ALLOWED_ORDERS, BRANCH_DIMS, ColumnSwitchPlan
+from mimo3d.decoders.simplified import ALLOWED_ORDERS, ColumnSwitchPlan
+from mimo3d.decoders.structure import COUPLED_DIMS
 from mimo3d.linalg import tilde_interleave, vec_stack
 from mimo3d.modem import slice_pam
 
@@ -44,7 +45,7 @@ def random_branch_fixture(rng, pam):
     r = np.zeros((16, 16))
     for i in range(8):
         r[i, i] = 0.05 + abs(rng.standard_normal())
-    for i1, i2 in BRANCH_DIMS:
+    for i1, i2 in COUPLED_DIMS:
         r[i1, i2] = rng.standard_normal()
     v = rng.standard_normal(8) * rng.uniform(0.2, 3.0)
     return v, r
@@ -55,7 +56,7 @@ def tree_pattern_r(rng):
     4 and 5 couple only to the level two above, rows 2, 3, 6 and 7 are
     diagonal."""
     r = np.diag(0.5 + np.abs(rng.standard_normal(8)))
-    for i1, i2 in BRANCH_DIMS:
+    for i1, i2 in COUPLED_DIMS:
         r[i1, i2] = rng.standard_normal()
     return r
 
@@ -115,7 +116,7 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
     updates, and the finished branches are summed afresh at every test."""
     c = counters
     branches = []
-    for i1, i2 in BRANCH_DIMS:
+    for i1, i2 in COUPLED_DIMS:
         r11 = float(r[i1][i1])
         r12 = float(r[i1][i2])
         r22 = float(r[i2][i2])
@@ -194,7 +195,6 @@ def column_switch_reference(s_zf, h_eq, mode, constellation):
         if mode == "2by2" and e34 < e12:
             order = pair_and_half_swap
     plan = ColumnSwitchPlan(
-        mode=mode,
         order=order,
         epsilons={"e12": e12, "e34": e34, "e14": e14, "e56": e56, "e78": e78, "e58": e58},
     )

@@ -16,7 +16,8 @@ from mimo3d.cli import main
 from mimo3d.counters import OpCounters
 from mimo3d.decoders import get_decoder, verify_r_structure
 from mimo3d.decoders.bruteforce import ml_bruteforce
-from mimo3d.decoders.simplified import BRANCH_DIMS, parallel_decisions, simplified_ml
+from mimo3d.decoders.simplified import parallel_decisions, simplified_ml
+from mimo3d.decoders.structure import COUPLED_DIMS
 from mimo3d.sweep import SweepConfig, run_sweep
 
 QPSK = build_qam(4)
@@ -134,7 +135,7 @@ def test_criterion_4_branch_oracle():
                 (b_hat[0], b_hat[2]), (b_hat[1], b_hat[3]),
             ]
             total = 0.0
-            for b, (i1, i2) in enumerate(BRANCH_DIMS):
+            for b, (i1, i2) in enumerate(COUPLED_DIMS):
                 sol, ref = branch_oracle(v[i1], v[i2], r[i1, i1], r[i1, i2], r[i2, i2], pam)
                 s1, s2 = decided[b]
                 got = (v[i1] - r[i1, i1] * s1 - r[i1, i2] * s2) ** 2 + (v[i2] - r[i2, i2] * s2) ** 2

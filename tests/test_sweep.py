@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mimo3d.counters import OpCounters
 from mimo3d.decoders import DecodeResult, REGISTRY
 from mimo3d.linalg import RankDeficiencyError
 from mimo3d.sweep import (
+    CSV_HEADER,
     SweepConfig,
     SweepRow,
     read_csv,
@@ -119,6 +122,34 @@ def test_worker_count_does_not_change_output(tmp_path):
     write_csv(run_sweep(small_config(trials=24, workers=1))[0], p1)
     write_csv(run_sweep(small_config(trials=24, workers=3))[0], p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # checked without starting a process: the fake pool records its size
+    # and runs starmap inline
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    capped = run_sweep(small_config(trials=8, workers=50))
+    assert sizes == [2]
+    assert capped == run_sweep(small_config(trials=8, workers=1))
 
 
 def test_noiseless_limit_all_decoders():
@@ -314,10 +345,16 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     (["verify-structure", "--trials", "3", "--seed", "-1"], "seed"),
     (["summarize", "--in", "header-only.csv"], "no rows"),
     (["summarize", "--in", "missing.csv"], "missing.csv"),
+    (["summarize", "--in", "no-trials.csv"], "line 1: the header has no column 'trials'"),
+    (["summarize", "--in", "short-row.csv"], "line 2: no value in column 'symbol_errors'"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_csv([], "header-only.csv")
+    no_trials = [name for name in CSV_HEADER if name != "trials"]
+    (tmp_path / "no-trials.csv").write_text(
+        ",".join(no_trials) + "\nsd-baseline,0,1,0.125,1,20,300,20,0.2\n")
+    (tmp_path / "short-row.csv").write_text(",".join(CSV_HEADER) + "\nsd-baseline,0,1\n")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
