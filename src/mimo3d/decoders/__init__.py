@@ -8,8 +8,8 @@ The reported metric is ``||y - H_eq s||^2`` for the returned symbols
 and the tree decoders' search distances are replaced by it in
 :func:`_reported_metric`, the one place that computes it.  Every decoder
 refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` that does not hold 16
-entries, and a NaN or inf in either argument, with a :class:`ValueError`
-that names the argument (:func:`~mimo3d.linalg.require_decodable`).
+entries, and a NaN, inf or out-of-range scale in either argument, with a
+:class:`ValueError` that names it (:func:`~mimo3d.linalg.require_decodable`).
 
 Each decode runs its guards once, at the entry: that input check, the rank
 rule in :func:`~mimo3d.linalg.gram_schmidt_qr` and, for the two-stage
@@ -34,13 +34,8 @@ functions live in their submodules: ``simplified_ml``, ``zf_estimate``,
 ``ml_bruteforce`` in :mod:`.bruteforce`.  They keep those names, and this
 module keeps its ``simplified_ml``, ``sd_baseline`` and ``gram_schmidt_qr``
 globals, because the benchmark's tracer (``bench/tracing.py``) wraps them
-where they are looked up at call time.
-
-The two tree decoders run one depth-first engine,
-:func:`~.sphere.tree_search`, in exact S-E order with the sibling cut, under
-two policies: ``sd-baseline`` computes the centre at every node of a
-16-level search, the two-stage decoder looks it up from per-decode tables
-over 8 levels and completes each leaf with its parallel decisions.
+where they are looked up at call time.  The two tree decoders share one
+search engine (:mod:`.sphere`).
 """
 
 from __future__ import annotations

@@ -145,17 +145,15 @@ def column_switch(s_zf, h_eq, mode, constellation):
     return np.asarray(h_eq).take(_COLUMNS[order], axis=1), plan
 
 
-def compute_v(z_tilde, r, c, d):
+def compute_v(z, r, s_outer):
     """Interference-cancelled targets for the four parallel branches.
 
-    Given the decided tree symbols (real 4-vectors ``c`` and ``d``), removes
-    their contribution from the first eight rotated receive dimensions:
-    ``v = z[0:8] - R[0:8, 8:16] [c; d]``.  Linear in (c, d); with c = d = 0
-    this is just ``z[0:8]``.
+    ``v = z[0:8] - R[0:8, 8:16] s_outer`` as a list of Python floats, for
+    the decided tree symbols ``s_outer`` (the real 8-vector [c; d]) and the
+    decode's ndarrays ``z`` and ``r``, taken as they are.  Linear in
+    ``s_outer``; with ``s_outer = 0`` this is just ``z[0:8]``.
     """
-    z = np.asarray(z_tilde, dtype=float).ravel()
-    outer = np.concatenate([np.asarray(c, dtype=float).ravel(), np.asarray(d, dtype=float).ravel()])
-    return z[:8] - np.asarray(r, dtype=float)[:8, 8:16] @ outer
+    return (z[:8] - r[:8, 8:16] @ s_outer).tolist()
 
 
 def parallel_decisions(v, r, radius, d_outer, pam, counters):
@@ -177,6 +175,9 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
     before any decision, which only happens at already-hopeless leaves).
     The diagonal of ``r`` must have passed the rank rule (``gram_schmidt_qr``).
+    ``v`` and ``r`` are read entry by entry, unconverted: the decoder hands
+    in the list from :func:`compute_v` and R as nested lists of Python
+    floats.  NumPy arrays give the same bits, only more slowly.
 
     The stop test of a branch reads only the finished branches, and its
     slice-and-update reads only its own state, so each live branch runs its
@@ -192,8 +193,8 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     # state: best distance, its s1 and s2, steps run once it has stopped
     branches = []
     for i1, i2 in COUPLED_DIMS:
-        v2, r22 = float(v[i2]), float(r[i2][i2])
-        branches.append([float(v[i1]), float(r[i1][i1]), float(r[i1][i2]), v2, r22,
+        v2, r22 = v[i2], r[i2][i2]
+        branches.append([v[i1], r[i1][i1], r[i1][i2], v2, r22,
                          se_order(v2 / r22, pam), math.inf, None, None, 0])
     live = branches.copy()
     finished = 0.0  # sum of the finished branches' minima, in branch order
@@ -244,16 +245,14 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
 
     ``h_eq`` must come from the "new" codeword ordering.  That is checked
     on the R factor the decode runs on, against every entry either stage
-    reads as zero, relative to ``max|R|`` (:func:`~.structure.two_stage_zeros`,
-    a few microseconds against a decode of about half a millisecond).  Any
-    other channel raises :class:`ValueError`, because the decoder would
+    reads as zero, relative to ``max|R|`` (:func:`~.structure.two_stage_zeros`).
+    Any other channel raises :class:`ValueError`, because the decoder would
     return a non-ML answer on it.  All three switch modes return the same ML
     solution; they differ only in search effort.  Raises :class:`ValueError`
-    naming the argument when ``h_eq`` is not 16x16, ``y_tilde`` does not
-    hold 16 entries, or either holds a NaN or inf
-    (:func:`~mimo3d.linalg.require_decodable`), and propagates
-    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.  An
-    unknown ``switch_mode`` is refused first.  No stage checks again.
+    naming the argument on input :func:`~mimo3d.linalg.require_decodable`
+    refuses, and propagates :class:`~mimo3d.linalg.RankDeficiencyError` on
+    degenerate channels.  An unknown ``switch_mode`` is refused first.  No
+    stage checks again.
 
     With a column switch, the zero-forcing estimate comes from one LU solve
     of ``h_eq`` (:func:`zf_estimate`), and the switch reads it to choose the
@@ -279,9 +278,6 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
 
-    # charged as the paper computes it: QR and rotation, plus for a switch
-    # the back-substitution of the ZF estimate and, for a non-identity
-    # order, a second QR and rotation of H_eq P
     charge_qr(counters, 16, 16)
     charge_matvec(counters, 16, 16)
     order = _IDENTITY
@@ -301,26 +297,20 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
 
     pam = constellation.pam
     rows = qr.r.tolist()
-    # The leaf is reachable from the search's reference cycle, so what its
-    # closure holds, and what tree_search is handed, is left to the cyclic
-    # GC after every decode.  The sweep benchmark's speed probe absorbs
-    # generation-0 collections, so its readings hang on exactly how many
-    # objects that is; when a second run_sweep call fits in the benchmark's
-    # time, fewer collections land in the probe and the sweep reads about
-    # 2x worse (see the FOUND lines in CHANGES.md).  So the leaf and the
-    # search inputs stay as they are.  Hence six cells: z (an ndarray), qr
-    # (the ndarray R read through the factor tuple), counters, decide, rows
-    # (one tolist) and pam; tree_search gets ndarray slices of z and R.
-    # decide is looked up once per decode.
+    # What the leaf's six cells (z, qr, counters, decide, rows, pam) and
+    # tree_search's inputs hold is left to the cyclic GC with the search's
+    # reference cycle, and the sweep benchmark reads a change in that count
+    # as a change in speed (tests/test_decoders.py,
+    # test_per_decode_cyclic_garbage), so they stay as they are.
     decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):
-        v = compute_v(z, qr.r, s_outer[:4], s_outer[4:])
-        counters.mults += 64
+        v = compute_v(z, qr.r, s_outer)
         a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters)
         return d_p, (a_hat, b_hat)
 
     best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], pam, leaf, counters, tables=True)
+    counters.mults += 64 * counters.leaves  # compute_v at every leaf
     if best_outer is None:  # unreachable: the first leaf always beats an infinite radius
         raise RuntimeError("tree search returned no candidate")
 

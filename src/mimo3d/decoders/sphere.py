@@ -64,13 +64,14 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
       rows only) and one division; no node divides, and no inner product
       runs over the structural zeros of ``r``.
 
-    Every evaluated child costs 2 mults.  A full-depth candidate inside the
-    radius is a leaf; ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)``
-    completes it (``None``: the leaf is complete as it is), and the radius
-    becomes ``d_leaf + d_p`` on strict improvement only, so ties keep the
-    first solution found.  ``z`` and ``r`` are converted once to plain
-    Python floats, so the per-node arithmetic (and ``d_leaf``, ``radius``
-    and the returned distance) never goes through NumPy scalars.
+    Every evaluated child costs 2 mults, charged once after the search.  A
+    full-depth candidate inside the radius is a leaf; ``leaf_fn(s, d_leaf,
+    radius) -> (d_p, payload)`` completes it (``None``: the leaf is complete
+    as it is), and the radius becomes ``d_leaf + d_p`` on strict improvement
+    only, so ties keep the first solution found.  ``z`` and ``r`` are
+    converted once to plain Python floats, so the per-node arithmetic (and
+    ``d_leaf``, ``radius`` and the returned distance) never goes through
+    NumPy scalars.
 
     Returns ``(best_s, best_payload, best_distance)``.
     """
@@ -117,7 +118,6 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
             counters.tree_nodes += 1
             resid = acc - rii * cand
             d_new = dist + resid * resid
-            counters.mults += 2
             if d_new < radius:
                 if i:
                     descend(i - 1, d_new)
@@ -132,7 +132,9 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
             else:
                 break  # later siblings are at least this far
 
+    nodes = counters.tree_nodes
     descend(n - 1, 0.0)
+    counters.mults += 2 * (counters.tree_nodes - nodes)  # 2 per evaluated child
     return best, best_payload, radius
 
 

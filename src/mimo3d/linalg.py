@@ -36,6 +36,8 @@ import numpy as np
 # redrawn.
 RANK_TOL = 1e-12
 
+MAX_SCALE = 2.0**256  # the input scale bound of require_decodable
+
 
 class RankDeficiencyError(ValueError):
     """A matrix handed to QR is numerically rank deficient."""
@@ -147,20 +149,27 @@ def require_full_rank(diag):
 
 
 def require_decodable(y_tilde, h_eq):
-    """Raise :class:`ValueError` naming the argument that has the wrong shape
-    or holds a NaN or inf.
+    """Raise :class:`ValueError` naming the argument that has the wrong shape,
+    holds a NaN or inf, or lies outside the scale the decoders can run on.
 
     ``h_eq`` must be 16x16 and ``y_tilde`` must hold 16 entries once raveled,
-    so (16,) and (16, 1) both pass.  Deliberately not a
+    so (16,) and (16, 1) both pass.  The search distances are squares of
+    entries at the scale of the input, which overflow from about 1e154 and
+    lose bits below about 1e-154, so ``max|h_eq|`` must lie within
+    ``[2^-256, 2^256]`` and ``max|y_tilde|`` be at most ``2^256``.  Not a
     :class:`RankDeficiencyError`, which the sweep would swallow and
     resample."""
     if np.shape(h_eq) != (16, 16):
         raise ValueError(f"h_eq has shape {np.shape(h_eq)}; the decoders need 16x16")
     if np.size(y_tilde) != 16:
         raise ValueError(f"y_tilde has {np.size(y_tilde)} entries; the decoders need 16")
-    for name, value in (("y_tilde", y_tilde), ("h_eq", h_eq)):
-        if not np.isfinite(value).all():
+    for name, value, low, need in (("y_tilde", y_tilde, 0.0, "at most 2^256"),
+                                   ("h_eq", h_eq, 1.0 / MAX_SCALE, "within [2^-256, 2^256]")):
+        top = float(np.abs(value).max())
+        if not top < np.inf:  # also true for NaN
             raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")
+        if not low <= top <= MAX_SCALE:
+            raise ValueError(f"{name} has largest magnitude {top:.3e}; the decoders need {need}")
 
 
 def back_substitute(r, z):

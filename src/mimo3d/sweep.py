@@ -218,8 +218,8 @@ def write_csv(rows, path):
 def read_csv(path):
     """Parse a sweep CSV back into rows, each column as its field's type.
 
-    Raises :class:`ValueError` naming the line and the column when the
-    header lacks a column or a row is too short to fill one."""
+    Raises :class:`ValueError` naming the line when the header lacks a
+    column or a row holds too few values (naming the column) or too many."""
     types = typing.get_type_hints(SweepRow)
     rows = []
     with open(path, newline="") as fh:
@@ -228,6 +228,8 @@ def read_csv(path):
             if name not in (reader.fieldnames or ()):
                 raise ValueError(f"{path} line 1: the header has no column {name!r}")
         for rec in reader:
+            if None in rec:  # DictReader's key for the values past the header
+                raise ValueError(f"{path} line {reader.line_num}: more values than columns")
             for name in CSV_HEADER:
                 if rec[name] is None:
                     raise ValueError(f"{path} line {reader.line_num}: no value in column {name!r}")

@@ -1,5 +1,6 @@
 """Shared test utilities: random link instances with known ground truth."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from mimo3d import (
     snr_to_sigma2,
 )
 from mimo3d.decoders.simplified import ALLOWED_ORDERS, ColumnSwitchPlan
-from mimo3d.decoders.structure import COUPLED_DIMS
+from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
 from mimo3d.linalg import tilde_interleave, vec_stack
 from mimo3d.modem import slice_pam
 
@@ -200,3 +201,38 @@ def column_switch_reference(s_zf, h_eq, mode, constellation):
     )
     cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
     return np.asarray(h_eq)[:, cols], plan
+
+
+# -- an exact-ML oracle that shares no code with the search ------------------
+
+# the (s1, s2) real dimensions of the four leading 2-D problems, written out
+# here rather than read from the decoder's COUPLED_DIMS
+_LEADING_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
+
+
+@functools.cache
+def _index_grid(n, width):
+    """Every assignment of ``width`` indices below ``n``, one per row."""
+    return np.stack(np.meshgrid(*[np.arange(n)] * width, indexing="ij"), -1).reshape(-1, width)
+
+
+def two_stage_ml_metric(z, r, levels):
+    """``min ||z - R s||^2`` over ``s`` in ``levels``^16, in NumPy alone.
+
+    ``r`` must have the two-stage zero pattern, which is asserted.  Every
+    assignment of the 8 tree dimensions is enumerated, and each of the four
+    leading 2-D problems is solved by enumerating ``levels``^2, so nothing
+    here touches the tree search, the S-E orders or PAM slicing.  Memory is
+    about ``len(levels)^8 * len(levels)^2`` floats: 16-QAM at most.
+    """
+    assert two_stage_zeros(r) <= REL_TOL
+    levels = np.asarray(levels, dtype=float)
+    tree = levels[_index_grid(levels.size, 8)]  # (P^8, 8) tree assignments
+    d_tree = np.sum((z[8:] - tree @ r[8:, 8:].T) ** 2, axis=1)
+    v = z[:8] - tree @ r[:8, 8:].T  # targets after cancelling the tree part
+    s1, s2 = levels[_index_grid(levels.size, 2)].T  # (P^2,) each
+    for i1, i2 in _LEADING_PAIRS:
+        e1 = v[:, i1, None] - r[i1, i1] * s1 - r[i1, i2] * s2
+        e2 = v[:, i2, None] - r[i2, i2] * s2
+        d_tree += np.min(e1 * e1 + e2 * e2, axis=1)
+    return float(d_tree.min())

@@ -347,6 +347,7 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     (["summarize", "--in", "missing.csv"], "missing.csv"),
     (["summarize", "--in", "no-trials.csv"], "line 1: the header has no column 'trials'"),
     (["summarize", "--in", "short-row.csv"], "line 2: no value in column 'symbol_errors'"),
+    (["summarize", "--in", "long-row.csv"], "line 2: more values than columns"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -355,6 +356,8 @@ def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeyp
     (tmp_path / "no-trials.csv").write_text(
         ",".join(no_trials) + "\nsd-baseline,0,1,0.125,1,20,300,20,0.2\n")
     (tmp_path / "short-row.csv").write_text(",".join(CSV_HEADER) + "\nsd-baseline,0,1\n")
+    (tmp_path / "long-row.csv").write_text(
+        ",".join(CSV_HEADER) + "\nsd-baseline,0,300,1,0.125,1,20,300,20,0.2,7\n")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
