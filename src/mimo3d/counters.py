@@ -29,6 +29,15 @@ is defined):
   mult for a level that couples to another.  It multiplies by no
   structural zero of R.  Both policies stop a sibling loop at the first
   child outside the radius, and that child is counted.
+* The parallel decisions charge what runs.  Every call forms the four
+  estimates ``v2 / r22`` (4 divs) and the leaf's lower bound, the squared
+  residual of each branch's first S-E candidate (8 mults).  A leaf whose
+  bound exceeds the radius stops there, counted as step 0 of all four
+  branches stopping: one ``branch_nodes`` each and nothing more.  Otherwise
+  every branch step costs 2 mults for its ``s2`` residual and square, and
+  every step but a stopping one slices ``s1`` for 3 mults and 1 div; the
+  step 0 residuals are recomputed, so a kept leaf pays the bound's 8 mults
+  on top.  The cancellation that forms ``v`` costs 64 mults per leaf.
 * A *visited node* is one candidate assignment: at a tree level
   (``tree_nodes``) or at one step of a parallel decision branch
   (``branch_nodes``).  The reported aggregate is

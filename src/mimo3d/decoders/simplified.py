@@ -17,11 +17,16 @@ splits into:
   decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
   (s3R,s4R), (s3I,s4I) on the interference-cancelled targets v, each a
   one-level S-E loop over the "s2-role" symbol with conditional slicing of
-  the "s1-role" symbol.  The four branches run in lockstep and share
-  termination information: a branch stops when its ascending partial
-  distance exceeds its own best, or when it plus the recorded distances of
-  already-finished branches and the outer distance exceeds the sphere
-  radius.
+  the "s1-role" symbol.  Before any branch runs, an exact lower bound
+  drops a leaf that cannot beat the sphere radius: the outer distance plus
+  each branch's smallest ``s2`` term, which the branches decouple into
+  four slices (the lower-bound pruning of Stojnic, Vikalo and Hassibi,
+  "Speeding up the sphere decoder with H-infinity and SDP inspired lower
+  bounds", IEEE Trans. Signal Process. 2008).  The four branches of a
+  kept leaf run in lockstep and share termination information: a branch
+  stops when its ascending partial distance exceeds its own best, or when
+  it plus the recorded distances of already-finished branches and the
+  outer distance exceeds the sphere radius.
 
 The worst case is sqrt(M)^8 = M^4 tree leaves with sqrt(M) candidates per
 branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
@@ -54,6 +59,10 @@ from .sphere import tree_search
 from .structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
 
 SWITCH_MODES = ("none", "4by4", "2by2")
+
+# a leaf is dropped only when its lower bound exceeds the radius by this
+# relative margin, far above the rounding of either side (parallel_decisions)
+_BOUND_SLACK = 1.0 + 1e-12
 
 # The four decode orders that keep the R zero structure intact
 # (position -> canonical symbol index, 0-based).
@@ -171,9 +180,25 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     decode outcome: it can only inflate ``d_p`` at leaves the radius test
     rejects anyway.
 
+    Before any branch runs, the leaf's lower bound ``d_outer + sum_b
+    (v2 - r22 s2)^2``, with ``s2`` each branch's first S-E candidate (the
+    level nearest ``v2 / r22``), is compared with the radius.  Each branch
+    distance is at least its ``s2`` term, and that term is smallest at the
+    nearest level, so the bound is at most ``d_outer + d_p``.  A leaf whose
+    bound exceeds ``radius`` by the relative margin ``1e-12`` returns
+    ``(None, None, inf)`` at once, and the search, which moves its radius
+    only on a strict improvement, would have rejected it anyway: no
+    decision changes.  The margin lies far above the rounding of either
+    side, so rounding can only keep a leaf, never drop one.  The bound
+    reads the same ``v`` floats as the decisions, and each estimate
+    ``v2 / r22`` also picks its branch's S-E order, so a kept leaf divides
+    no more than without the bound.  An infinite radius (the first leaf)
+    never drops a leaf, and the radius tests are both off.
+
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
-    before any decision, which only happens at already-hopeless leaves).
+    before any decision or the bound dropped the leaf, which only happens
+    at already-hopeless leaves).
     The diagonal of ``r`` must have passed the rank rule (``gram_schmidt_qr``).
     ``v`` and ``r`` are read entry by entry, unconverted: the decoder hands
     in the list from :func:`compute_v` and R as nested lists of Python
@@ -189,13 +214,29 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     locally and added once.
     """
     n = pam.order
+    # the four branches written out up to the bound, so that a dropped leaf
+    # builds no per-branch state
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = COUPLED_DIMS
+    va, ra = v[a2], r[a2][a2]
+    vb, rb = v[b2], r[b2][b2]
+    vc, rc = v[c2], r[c2][c2]
+    vd, rd = v[d2], r[d2][d2]
+    oa, ob = se_order(va / ra, pam), se_order(vb / rb, pam)
+    oc, od = se_order(vc / rc, pam), se_order(vd / rd, pam)
+    ta, tb = va - ra * oa[0], vb - rb * ob[0]
+    tc, td = vc - rc * oc[0], vd - rd * od[0]
+    if d_outer + ta * ta + tb * tb + tc * tc + td * td > radius * _BOUND_SLACK:
+        for b in range(4):
+            counters.branch_nodes[b] += 1
+        counters.mults += 8
+        counters.divs += 4
+        return None, None, math.inf
     # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, then its
     # state: best distance, its s1 and s2, steps run once it has stopped
-    branches = []
-    for i1, i2 in COUPLED_DIMS:
-        v2, r22 = v[i2], r[i2][i2]
-        branches.append([v[i1], r[i1][i1], r[i1][i2], v2, r22,
-                         se_order(v2 / r22, pam), math.inf, None, None, 0])
+    branches = [[v[a1], r[a1][a1], r[a1][a2], va, ra, oa, math.inf, None, None, 0],
+                [v[b1], r[b1][b1], r[b1][b2], vb, rb, ob, math.inf, None, None, 0],
+                [v[c1], r[c1][c1], r[c1][c2], vc, rc, oc, math.inf, None, None, 0],
+                [v[d1], r[d1][d1], r[d1][d2], vd, rd, od, math.inf, None, None, 0]]
     live = branches.copy()
     finished = 0.0  # sum of the finished branches' minima, in branch order
     for j in range(n):
@@ -232,7 +273,7 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
         counters.branch_nodes[b] += ran
         steps += ran
     decided = steps - (4 - len(live))  # every step but a stopping one slices s1
-    counters.mults += 2 * steps + 3 * decided
+    counters.mults += 8 + 2 * steps + 3 * decided  # 8 for the bound
     counters.divs += 4 + decided
     b0, b1, b2, b3 = branches
     a_hat = (b0[7], b1[7], b0[8], b1[8])

@@ -150,10 +150,14 @@ def require_full_rank(diag):
 
 def require_decodable(y_tilde, h_eq):
     """Raise :class:`ValueError` naming the argument that has the wrong shape,
-    holds a NaN or inf, or lies outside the scale the decoders can run on.
+    has a complex dtype, holds a NaN or inf, or lies outside the scale the
+    decoders can run on.
 
     ``h_eq`` must be 16x16 and ``y_tilde`` must hold 16 entries once raveled,
-    so (16,) and (16, 1) both pass.  The search distances are squares of
+    so (16,) and (16, 1) both pass.  Both are the real interleaved model
+    (:func:`tilde_interleave`, :func:`check_expand_matrix`): a complex dtype,
+    even with zero imaginary parts, is refused, because converting it to
+    float would drop the imaginary parts.  The search distances are squares of
     entries at the scale of the input, which overflow from about 1e154 and
     lose bits below about 1e-154, so ``max|h_eq|`` must lie within
     ``[2^-256, 2^256]`` and ``max|y_tilde|`` be at most ``2^256``.  Not a
@@ -165,6 +169,9 @@ def require_decodable(y_tilde, h_eq):
         raise ValueError(f"y_tilde has {np.size(y_tilde)} entries; the decoders need 16")
     for name, value, low, need in (("y_tilde", y_tilde, 0.0, "at most 2^256"),
                                    ("h_eq", h_eq, 1.0 / MAX_SCALE, "within [2^-256, 2^256]")):
+        if np.iscomplexobj(value):
+            raise ValueError(f"{name} has a complex dtype; the decoders need the real "
+                             "interleaved model")
         top = float(np.abs(value).max())
         if not top < np.inf:  # also true for NaN
             raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")

@@ -111,11 +111,34 @@ def se_order_walk(estimate, pam):
     return tuple(out)
 
 
+def leaf_bound(v, r, d_outer, pam):
+    """``d_outer + sum_b min_s2 (v2 - r22 s2)^2``, each minimum at the level
+    nearest ``v2 / r22`` by the walk slicer: a lower bound on ``d_outer``
+    plus the parallel decisions' distance."""
+    bound = d_outer
+    for _, i2 in COUPLED_DIMS:
+        v2, r22 = float(v[i2]), float(r[i2][i2])
+        t = v2 - r22 * pam.level_tuple[slice_index_walk(v2 / r22, pam)]
+        bound += t * t
+    return bound
+
+
 def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_branch_stop=True):
     """The four parallel branches as a two-pass lockstep: every live branch
     takes its stop test for step j, then every still-live branch slices and
-    updates, and the finished branches are summed afresh at every test."""
+    updates, and the finished branches are summed afresh at every test.
+
+    A leaf whose :func:`leaf_bound` exceeds ``radius`` by the relative
+    margin 1e-12 returns ``(None, None, inf)`` at once, charged as step 0
+    of all four branches stopping.  ``cross_branch_stop=False`` turns both
+    radius tests off, as an infinite radius does; the bound's 8 mults are
+    charged either way."""
     c = counters
+    c.mults += 8
+    if cross_branch_stop and leaf_bound(v, r, d_outer, pam) > radius * (1 + 1e-12):
+        c.branch_nodes[:] = [n + 1 for n in c.branch_nodes]
+        c.divs += 4
+        return None, None, math.inf
     branches = []
     for i1, i2 in COUPLED_DIMS:
         r11 = float(r[i1][i1])

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     branch_oracle,
     column_switch_reference,
+    leaf_bound,
     parallel_decisions_lockstep,
     random_branch_fixture,
     random_instance,
@@ -313,11 +314,12 @@ def _tie_branch_fixture(rng, pam):
 @pytest.mark.parametrize("m", [4, 16, 64])
 def test_parallel_decisions_matches_lockstep_oracle(m):
     # Exact agreement with the two-pass lockstep, with a finite radius and
-    # outer distance drawn so that cross-branch stopping fires on part of
-    # the fixtures; every fourth fixture has exact slicing ties.
+    # outer distance drawn so that the leaf bound fires on part of the
+    # fixtures and cross-branch stopping on part of the rest; every fourth
+    # fixture has exact slicing ties.
     pam = build_qam(m).pam
     rng = derive_rng(226, m)
-    fired = 0
+    bounded = fired = 0
     fixtures = 2000
     for t in range(fixtures):
         make = _tie_branch_fixture if t % 4 == 3 else random_branch_fixture
@@ -327,15 +329,21 @@ def test_parallel_decisions_matches_lockstep_oracle(m):
         radius = d_outer + free * rng.uniform(0.0, 1.5)
         cross = t % 8 != 0
         got_c, want_c, plain_c = OpCounters(), OpCounters(), OpCounters()
-        # radius=math.inf turns the cross-branch test off, as cross=False does
+        # radius=math.inf turns both radius tests off, as cross=False does
         got = parallel_decisions(v, r, radius if cross else math.inf, d_outer, pam, got_c)
         want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c, cross)
         assert got == want  # a_hat, b_hat and d_p, exactly
         assert got_c == want_c  # branch_nodes, mults, divs (tree counters untouched)
         parallel_decisions_lockstep(v, r, radius, d_outer, pam, plain_c, False)
         fired += (want_c.branch_nodes, want_c.mults) != (plain_c.branch_nodes, plain_c.mults)
-    print(f"\nM={m}: cross-branch stopping fired on {fired} of {fixtures} fixtures")
+        if want[0] is None:  # the bound dropped the leaf: it could not beat the radius
+            assert d_outer + free >= radius
+            bounded += 1
+    print(f"\nM={m}: the radius tests fired on {fired} of {fixtures} fixtures, "
+          f"the bound on {bounded} of them")
     assert 0.1 * fixtures < fired < 0.9 * fixtures
+    # each test alone fires on some of them
+    assert 50 < bounded < fired - 50
 
 
 def test_parallel_decisions_sums_finished_branches_in_branch_order():
@@ -365,7 +373,10 @@ def branch_inputs(draw):
     """(pam, v, R, d_outer, radius) for the parallel decisions.  Diagonal
     entries are drawn from powers of two as well, and v from PAM levels and
     midpoints times them, so that slicing arguments and S-E estimates land
-    exactly on midpoints; with r12 = 0 candidates then tie in distance."""
+    exactly on midpoints; with r12 = 0 candidates then tie in distance.
+    Everything is scaled by a power of two, which is exact, and the radius
+    is infinite, a share of the unbounded distance, or within a few ulps
+    or a few 1e-12 of the leaf bound on either side."""
     pam = PAMS[draw(st.sampled_from(sorted(PAMS)))]
     levels = pam.level_tuple
     targets = levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
@@ -378,11 +389,17 @@ def branch_inputs(draw):
         for i in (i1, i2):
             v[i] = draw(st.sampled_from(targets).map(lambda x, d=r[i, i]: x * d)
                         | st.floats(-6.0, 6.0))
+    scale = 2.0 ** draw(st.integers(-200, 200))
+    v, r = v * scale, r * scale
     free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
     d_outer = free * draw(st.floats(0.0, 1.0))
-    share = draw(st.none() | st.floats(0.0, 1.5))  # None: infinite radius
-    radius = math.inf if share is None else d_outer + free * share
-    return pam, v, r, d_outer, radius
+    radius = draw(
+        st.none()  # infinite radius
+        | st.floats(0.0, 1.5).map(lambda share: d_outer + free * share)
+        | st.sampled_from((1 - 4e-12, 1 - 1e-12, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 1e-12))
+        .map(lambda near: leaf_bound(v, r, d_outer, pam) * near)
+    )
+    return pam, v, r, d_outer, math.inf if radius is None else radius
 
 
 @settings(derandomize=True, deadline=None, max_examples=400, database=None)
@@ -394,6 +411,17 @@ def test_parallel_decisions_equal_lockstep_property(case):
     want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c)
     assert got == want  # a_hat, b_hat and d_p, exactly
     assert got_c == want_c
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(branch_inputs())
+def test_leaf_bound_drops_only_leaves_that_cannot_beat_the_radius(case):
+    # the tree search takes a leaf only when d_outer + d_p < radius, so a
+    # dropped leaf must fail that test with the unbounded decisions too
+    pam, v, r, d_outer, radius = case
+    if parallel_decisions(v, r, radius, d_outer, pam, OpCounters())[0] is None:
+        free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
+        assert d_outer + free >= radius
 
 
 @pytest.mark.parametrize("m", [4, 16])
@@ -699,6 +727,23 @@ def test_decoders_refuse_scales_outside_the_float_range(name, scale, only_y):
     assert not isinstance(info.value, RankDeficiencyError)
 
 
+@pytest.mark.parametrize("arg", ["y_tilde", "h_eq"])
+@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+def test_decoders_refuse_complex_input(name, arg):
+    # the right shape with a complex dtype: converting it to float would
+    # drop the imaginary part, and decoders used to return a metric for it
+    _, eq, y = random_instance(derive_rng(233), QPSK, 10.0)
+    h_eq = eq.h_eq
+    if arg == "y_tilde":
+        y = y + 0.5j
+    else:
+        h_eq = h_eq + 0.5j
+    decode = DIRECT.get(name) or get_decoder(name)
+    with pytest.raises(ValueError, match=f"^{arg} has a complex dtype") as info:
+        decode(y, h_eq, QPSK)
+    assert not isinstance(info.value, RankDeficiencyError)
+
+
 @pytest.mark.parametrize("arg, n", [("h_eq", 15), ("y_tilde", 15), ("y_tilde", 17)])
 @pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
 def test_decoders_refuse_wrong_shapes(name, arg, n):
@@ -781,7 +826,7 @@ def test_search_decoders_reach_the_ml_metric_on_ill_conditioned_channels(seed, c
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
-@given(seed=st.integers(0, 2**32 - 1), snr_db=st.integers(4, 24), k=st.integers(-240, 240))
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.integers(0, 24), k=st.integers(-240, 240))
 def test_search_decoders_match_an_independent_16qam_oracle(seed, snr_db, k):
     # The oracle enumerates the tree stage and the four leading 2-D problems
     # in NumPy, on its own QR, so a fault that the two search decoders share
