@@ -8,8 +8,8 @@ The reported metric is ``||y - H_eq s||^2`` for the returned symbols
 and the tree decoders' search distances are replaced by it in
 :func:`_reported_metric`, the one place that computes it.  Every decoder
 refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` that does not hold 16
-entries, and a NaN, inf or out-of-range scale in either argument, with a
-:class:`ValueError` that names it (:func:`~mimo3d.linalg.require_decodable`).
+entries, and a complex dtype, a NaN, inf or out-of-range scale in either
+argument, with a :class:`ValueError` that names it (:func:`~mimo3d.linalg.require_decodable`).
 
 Each decode runs its guards once, at the entry: that input check, the rank
 rule in :func:`~mimo3d.linalg.gram_schmidt_qr` and, for the two-stage

@@ -23,7 +23,8 @@ differ only in how a node finds its centre:
 :func:`sd_baseline` is the classical 16-level real-valued search with the
 centred policy, run to completion, hence exactly ML.  The two-stage decoder
 (:mod:`.simplified`) runs the table policy over its 8 tree dimensions and
-completes every leaf with its parallel decisions.
+hands every leaf to its parallel decisions, which first drop a leaf whose
+lower bound shows it cannot beat the radius.
 """
 
 from __future__ import annotations

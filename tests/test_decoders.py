@@ -374,19 +374,25 @@ def branch_inputs(draw):
     entries are drawn from powers of two as well, and v from PAM levels and
     midpoints times them, so that slicing arguments and S-E estimates land
     exactly on midpoints; with r12 = 0 candidates then tie in distance.
-    Everything is scaled by a power of two, which is exact, and the radius
-    is infinite, a share of the unbounded distance, or within a few ulps
-    or a few 1e-12 of the leaf bound on either side."""
+    In a tight case every s1 residual is exactly 0, so the leaf bound equals
+    ``d_outer + d_p`` up to the order of summation.  Everything is scaled by
+    a power of two, which is exact, and the radius is infinite, a share of
+    the unbounded distance, or within a few ulps or a few 1e-12 of the leaf
+    bound on either side."""
     pam = PAMS[draw(st.sampled_from(sorted(PAMS)))]
     levels = pam.level_tuple
     targets = levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
     diag = st.sampled_from((0.25, 0.5, 1.0, 2.0)) | st.floats(0.05, 4.0)
+    tight = draw(st.booleans())
     r = np.zeros((16, 16))
     v = np.zeros(8)
     for i1, i2 in COUPLED_DIMS:
         r[i1, i1], r[i2, i2] = draw(diag), draw(diag)
-        r[i1, i2] = draw(st.just(0.0) | st.floats(-2.0, 2.0))
-        for i in (i1, i2):
+        if tight:  # r12 = 0 and v1 = r11 s1 for a level s1
+            v[i1] = draw(st.sampled_from(levels)) * r[i1, i1]
+        else:
+            r[i1, i2] = draw(st.just(0.0) | st.floats(-2.0, 2.0))
+        for i in (i2,) if tight else (i1, i2):
             v[i] = draw(st.sampled_from(targets).map(lambda x, d=r[i, i]: x * d)
                         | st.floats(-6.0, 6.0))
     scale = 2.0 ** draw(st.integers(-200, 200))
