@@ -8,18 +8,19 @@ is defined):
   scalar real divisions (QR normalizations, back-substitution,
   sphere-decoder centering, slicing arguments).  Additions, comparisons,
   square roots and table lookups are free.
-* Preprocessing is charged to the decoder that performs it: QR of an m-by-n
-  matrix costs ``m * n**2`` mults and ``m * n`` divs (the Gram-Schmidt
-  count, whichever routine computes the factor), the rotation
-  ``z = Q^T y`` costs ``m * n`` mults, and a back-substitution costs
-  ``n (n - 1) / 2`` mults plus ``n`` divs.
+* Preprocessing is charged to the decoder that performs it, per step.
+  :func:`charge_rotation`: a QR of the 16x16 channel, ``16 * 16**2`` mults
+  and ``16 * 16`` divs (the Gram-Schmidt count, whichever routine computes
+  the factor), and the rotation ``z = Q^T y``, ``16 * 16`` mults.
+  :func:`charge_zf_switch`: the zero-forcing (ZF) estimate as a
+  back-substitution, ``16 * 15 / 2`` mults and 16 divs, and the column
+  switch's slicing errors over 8 complex estimates, 16 mults.
 * The charges follow the paper's preprocessing sequence, not the code's.
-  Every tree decoder is charged a QR and a rotation.  With a column switch
-  the two-stage decoder is also charged a back-substitution for its
-  zero-forcing estimate, plus a second QR and rotation after a non-identity
-  order; the code runs one LU solve for the estimate and then one
-  Householder pass that factors the chosen channel and rotates ``y``
-  together.  Without a switch no estimate is computed or charged.
+  Every tree decoder is charged one rotation.  With a column switch the
+  two-stage decoder is also charged the ZF switch, plus a second rotation
+  after a non-identity order; the code runs one LU solve for the estimate
+  and then one Householder pass that factors the chosen channel and
+  rotates ``y`` together.  Without a switch nothing more is charged.
 * The tree searches charge what runs.  Every evaluated child costs 2 mults
   (the residual ``acc - r_ii s_i`` and its square).  The centred policy
   (``sd-baseline``) also charges, per expanded node, ``n - 1 - i`` mults for
@@ -69,15 +70,13 @@ class OpCounters:
         return self.tree_nodes + max(self.branch_nodes)
 
 
-def charge_qr(counters, m, n):
-    counters.mults += m * n * n
-    counters.divs += m * n
+def charge_rotation(counters):
+    """QR of the 16x16 channel and the rotation ``z = Q^T y``."""
+    counters.mults += 16 * 16 * 16 + 16 * 16
+    counters.divs += 16 * 16
 
 
-def charge_matvec(counters, m, n):
-    counters.mults += m * n
-
-
-def charge_backsolve(counters, n):
-    counters.mults += n * (n - 1) // 2
-    counters.divs += n
+def charge_zf_switch(counters):
+    """ZF estimate by back-substitution, and the switch's slicing errors."""
+    counters.mults += 16 * 15 // 2 + 16
+    counters.divs += 16

@@ -7,8 +7,8 @@ The reported metric is ``||y - H_eq s||^2`` for the returned symbols
 (uncharged; see :mod:`mimo3d.counters`): brute force computes exactly that,
 and the tree decoders' search distances are replaced by it in
 :func:`_reported_metric`, the one place that computes it.  Every decoder
-refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` that does not hold 16
-entries, and a complex dtype, a NaN, inf or out-of-range scale in either
+refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` whose shape is not
+(16,) or (16, 1), and a complex dtype, a NaN, inf or out-of-range scale in either
 argument, with a :class:`ValueError` that names it (:func:`~mimo3d.linalg.require_decodable`).
 
 Each decode runs its guards once, at the entry: that input check, the rank
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..counters import OpCounters, charge_matvec, charge_qr
+from ..counters import OpCounters, charge_rotation
 from ..linalg import gram_schmidt_qr, require_decodable
 from .bruteforce import ml_bruteforce
 from .result import DecodeResult
@@ -67,8 +67,7 @@ def _decode_baseline(y_tilde, h_eq, constellation):
     require_decodable(y_tilde, h_eq)
     counters = OpCounters()
     r, z = gram_schmidt_qr(h_eq, y_tilde)
-    charge_qr(counters, 16, 16)
-    charge_matvec(counters, 16, 16)
+    charge_rotation(counters)
     result = sd_baseline(z, r, constellation, counters)
     return _reported_metric(result, y_tilde, h_eq)
 

@@ -44,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..counters import OpCounters, charge_backsolve, charge_matvec, charge_qr
+from ..counters import OpCounters, charge_rotation, charge_zf_switch
 from ..linalg import (
     RankDeficiencyError,
     # unused here, but a span target of the benchmark's tracer
     # (bench/tracing.py SPAN_TARGETS), which looks it up in this module
     back_substitute,  # noqa: F401
+    complex_from_interleaved,
     gram_schmidt_qr,
     require_decodable,
 )
@@ -301,12 +302,12 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     channel ``H_eq P`` is then factored, once, in one Householder pass that
     also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
     search finds its S-E orders from R and ``z`` (the table policy of
-    :func:`~.sphere.tree_search`), and the decided symbols are placed as
-    Python complexes in canonical order.  The counters charge the paper's
-    preprocessing sequence: QR of ``h_eq`` and rotation, plus, with a
-    switch, the back-substitution of the estimate and, after a
-    non-identity order, a second QR and rotation (see
-    :mod:`mimo3d.counters`).
+    :func:`~.sphere.tree_search`), and the decided interleaved vector is put
+    back in canonical order by the switch's column map.  The counters charge
+    the paper's preprocessing sequence: a rotation, plus, with a switch, the
+    zero-forcing switch and, after a non-identity order, a second rotation
+    (:func:`~mimo3d.counters.charge_rotation`,
+    :func:`~mimo3d.counters.charge_zf_switch`).
 
     ``metric`` is the search distance ``||z - R s||^2`` in the rotated
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
@@ -319,18 +320,15 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     counters = OpCounters()
     y = np.asarray(y_tilde, dtype=float).ravel()
 
-    charge_qr(counters, 16, 16)
-    charge_matvec(counters, 16, 16)
+    charge_rotation(counters)
     order = _IDENTITY
     if switch_mode != "none":
         s_zf = zf_estimate(h_eq, y)
-        charge_backsolve(counters, 16)
         h_eq, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
         order = plan.order
-        counters.mults += 16  # |Q(s_zf) - s_zf|^2 over 8 complex entries
+        charge_zf_switch(counters)
         if not plan.is_identity:
-            charge_qr(counters, 16, 16)
-            charge_matvec(counters, 16, 16)
+            charge_rotation(counters)
     qr = gram_schmidt_qr(h_eq, y)
     if two_stage_zeros(qr.r) > REL_TOL:
         raise ValueError("h_eq lacks the R zero structure of the 'new' codeword ordering")
@@ -356,8 +354,6 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         raise RuntimeError("tree search returned no candidate")
 
     a_hat, b_hat = payload
-    decided = (*a_hat, *b_hat, *best_outer)  # re, im of each decode position
-    symbols = [0j] * 8
-    for pos, sym in enumerate(order):
-        symbols[sym] = complex(decided[2 * pos], decided[2 * pos + 1])
-    return DecodeResult(symbols=np.array(symbols), metric=dist, counters=counters)
+    decided = np.empty(16)  # interleaved, canonical order: the columns undo the switch
+    decided[_COLUMNS[order]] = (*a_hat, *b_hat, *best_outer)
+    return DecodeResult(symbols=complex_from_interleaved(decided), metric=dist, counters=counters)

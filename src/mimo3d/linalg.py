@@ -153,8 +153,10 @@ def require_decodable(y_tilde, h_eq):
     has a complex dtype, holds a NaN or inf, or lies outside the scale the
     decoders can run on.
 
-    ``h_eq`` must be 16x16 and ``y_tilde`` must hold 16 entries once raveled,
-    so (16,) and (16, 1) both pass.  Both are the real interleaved model
+    ``h_eq`` must be 16x16 and ``y_tilde`` of shape (16,) or (16, 1): any
+    other layout of 16 entries, such as a 4x4 block of real and imaginary
+    rows, would ravel to a wrong order and decode silently to other symbols.
+    Both are the real interleaved model
     (:func:`tilde_interleave`, :func:`check_expand_matrix`): a complex dtype,
     even with zero imaginary parts, is refused, because converting it to
     float would drop the imaginary parts.  The search distances are squares of
@@ -165,8 +167,8 @@ def require_decodable(y_tilde, h_eq):
     resample."""
     if np.shape(h_eq) != (16, 16):
         raise ValueError(f"h_eq has shape {np.shape(h_eq)}; the decoders need 16x16")
-    if np.size(y_tilde) != 16:
-        raise ValueError(f"y_tilde has {np.size(y_tilde)} entries; the decoders need 16")
+    if np.shape(y_tilde) not in ((16,), (16, 1)):
+        raise ValueError(f"y_tilde has shape {np.shape(y_tilde)}; the decoders need (16,) or (16, 1)")
     for name, value, low, need in (("y_tilde", y_tilde, 0.0, "at most 2^256"),
                                    ("h_eq", h_eq, 1.0 / MAX_SCALE, "within [2^-256, 2^256]")):
         if np.iscomplexobj(value):

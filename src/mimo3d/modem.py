@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SUPPORTED_ORDERS = (4, 16, 64)
+MODULATIONS = {"qpsk": 4, "16qam": 16, "64qam": 64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,8 @@ def build_qam(m):
     Point k is ``levels[k // n] + 1j * levels[k % n]`` with ``n = sqrt(M)``.
     The PAM set carries its spacing and its S-E order tables.
     """
-    if m not in SUPPORTED_ORDERS:
-        raise ValueError(f"unsupported constellation order {m}; expected one of {SUPPORTED_ORDERS}")
+    if m not in MODULATIONS.values():
+        raise ValueError(f"unsupported constellation order {m}; expected one of {tuple(MODULATIONS.values())}")
     n = math.isqrt(m)
     scale = 1.0 / math.sqrt(2.0 * (m - 1) / 3.0)
     level_tuple = tuple((2 * k - (n - 1)) * scale for k in range(n))

@@ -26,22 +26,28 @@ import numpy as np
 from .channel import derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from .code import VARIANTS, encode_direct
 from .decoders import get_decoder, verify_r_structure
+from .decoders.bruteforce import MAX_ORDER
 from .decoders.structure import ORIGINAL_BREAKS, REL_TOL
 from .linalg import RankDeficiencyError, tilde_interleave, vec_stack
-from .modem import build_qam
-
-MODULATIONS = {"qpsk": 4, "16qam": 16, "64qam": 64}
+from .modem import MODULATIONS, build_qam
 
 MAX_ATTEMPTS = 64
 
 
+def _check_integer(name, value, low):
+    # bool is an int, but True as a trial count or seed is a mistake
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def check_trials_and_seed(trials, seed):
     """Refuse a run that would check nothing or that no random stream can
-    seed: ``trials < 1`` or ``seed < 0``, each a :class:`ValueError`."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed: ``trials < 1`` or ``seed < 0``, or either not an integer (``int``
+    or a NumPy integer, not ``bool``), each a :class:`ValueError`."""
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
 
 
 @dataclass
@@ -71,8 +77,7 @@ class SweepConfig:
             raise ValueError("need at least one decoder")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_integer("workers", self.workers, 1)
         for name in self.decoders:
             try:
                 get_decoder(name)
@@ -83,8 +88,8 @@ class SweepConfig:
                 # "new" ordering and refuses any other; say so before the
                 # first trial runs
                 raise ValueError(f"decoder {name!r} requires variant 'new'")
-        if self.modulation != "qpsk" and "bruteforce" in self.decoders:
-            raise ValueError("bruteforce decoder is limited to qpsk")
+        if MODULATIONS[self.modulation] > MAX_ORDER and "bruteforce" in self.decoders:
+            raise ValueError(f"bruteforce decoder is limited to M <= {MAX_ORDER}")
 
     def snr_points(self):
         points = []
@@ -288,8 +293,8 @@ def structure_sweep(trials, seed):
     Returns ``(report_text, ok)`` where ``ok`` reflects only the "new"
     variant (the "original" ordering is expected to fail the claims in
     ``ORIGINAL_BREAKS`` and is reported as such).  One channel realization
-    per trial, shared by both variants.  Raises :class:`ValueError` for
-    ``trials < 1`` or ``seed < 0``.
+    per trial, shared by both variants.  Raises :class:`ValueError` as
+    :func:`check_trials_and_seed` does.
     """
     check_trials_and_seed(trials, seed)
     worst = {v: {} for v in VARIANTS}  # claim -> largest value, in StructureReport.checks order

@@ -1,6 +1,5 @@
 """Shared test utilities: random link instances with known ground truth."""
 
-import functools
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from mimo3d import (
     snr_to_sigma2,
 )
 from mimo3d.decoders.simplified import ALLOWED_ORDERS, ColumnSwitchPlan
-from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
+from mimo3d.decoders.structure import COUPLED_DIMS
 from mimo3d.linalg import tilde_interleave, vec_stack
 from mimo3d.modem import slice_pam
 
@@ -226,36 +225,45 @@ def column_switch_reference(s_zf, h_eq, mode, constellation):
     return np.asarray(h_eq)[:, cols], plan
 
 
-# -- an exact-ML oracle that shares no code with the search ------------------
+# -- an exact-ML certificate at any constellation ------------------------------
 
-# the (s1, s2) real dimensions of the four leading 2-D problems, written out
-# here rather than read from the decoder's COUPLED_DIMS
-_LEADING_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
+def ml_tie_class(y, h_eq, levels, metric):
+    """Every ``s`` in ``levels``^16 with ``||y - H_eq s||^2`` within
+    ``metric * (1 + 1e-9)``, as rows of interleaved reals, and their
+    distances.
 
-
-@functools.cache
-def _index_grid(n, width):
-    """Every assignment of ``width`` indices below ``n``, one per row."""
-    return np.stack(np.meshgrid(*[np.arange(n)] * width, indexing="ij"), -1).reshape(-1, width)
-
-
-def two_stage_ml_metric(z, r, levels):
-    """``min ||z - R s||^2`` over ``s`` in ``levels``^16, in NumPy alone.
-
-    ``r`` must have the two-stage zero pattern, which is asserted.  Every
-    assignment of the 8 tree dimensions is enumerated, and each of the four
-    leading 2-D problems is solved by enumerating ``levels``^2, so nothing
-    here touches the tree search, the S-E orders or PAM slicing.  Memory is
-    about ``len(levels)^8 * len(levels)^2`` floats: 16-QAM at most.
+    A breadth-first Fincke-Pohst enumeration (Fincke and Pohst, Math. Comp.
+    1985) in NumPy alone: ``h_eq`` is factored by its own ``np.linalg.qr``,
+    and from the last level to the first every partial vector is extended
+    by every level and kept while its partial distance ``||z - R s||^2``
+    over the decided levels stays within the radius.  Partial distances
+    only grow, so nothing within the radius is lost; nothing here touches
+    the tree search, the S-E orders, PAM slicing or the decoders' QR.  Fed
+    a decoder's reported metric, an empty result means the metric is too
+    small, a distance below ``metric * (1 - 1e-9)`` means the answer is not
+    ML, and otherwise the result is the tie class the answer must lie in.
     """
-    assert two_stage_zeros(r) <= REL_TOL
+    q, r = np.linalg.qr(np.asarray(h_eq, dtype=float))
+    z = q.T @ np.asarray(y, dtype=float).ravel()
     levels = np.asarray(levels, dtype=float)
-    tree = levels[_index_grid(levels.size, 8)]  # (P^8, 8) tree assignments
-    d_tree = np.sum((z[8:] - tree @ r[8:, 8:].T) ** 2, axis=1)
-    v = z[:8] - tree @ r[:8, 8:].T  # targets after cancelling the tree part
-    s1, s2 = levels[_index_grid(levels.size, 2)].T  # (P^2,) each
-    for i1, i2 in _LEADING_PAIRS:
-        e1 = v[:, i1, None] - r[i1, i1] * s1 - r[i1, i2] * s2
-        e2 = v[:, i2, None] - r[i2, i2] * s2
-        d_tree += np.min(e1 * e1 + e2 * e2, axis=1)
-    return float(d_tree.min())
+    radius = metric * (1 + 1e-9)
+    part = np.empty((1, 0))  # decided levels i+1 .. 15, one row per survivor
+    dist = np.zeros(1)
+    for i in range(15, -1, -1):
+        t = (z[i] - part @ r[i, i + 1:])[:, None] - r[i, i] * levels
+        d = dist[:, None] + t * t
+        rows, cols = np.nonzero(d <= radius)
+        part = np.column_stack([levels[cols], part[rows]])
+        dist = d[rows, cols]
+    return part, dist
+
+
+def assert_certified_ml(y, h_eq, constellation, result):
+    """``result`` is an exact-ML decode: its metric is the least distance
+    ``||y - H_eq s||^2`` over the constellation, up to 1e-9 relative, and its
+    symbols are in the tie class of :func:`ml_tie_class`."""
+    tie, dist = ml_tie_class(y, h_eq, np.unique(constellation.points.real), result.metric)
+    assert dist.size, ("no lattice point within the reported metric", result.metric)
+    assert dist.min() >= result.metric * (1 - 1e-9), ("a closer point exists", dist.min(), result.metric)
+    assert (tie == tilde_interleave(result.symbols)).all(axis=1).any(), "symbols outside the tie class"
+    return tie

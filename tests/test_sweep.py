@@ -55,6 +55,14 @@ def test_snr_points():
     dict(snr_start=math.nan),
     dict(snr_start=-math.inf),
     dict(snr_step=math.inf),
+    # not integers: seed=1.5 used to give the rows of seed=1, trials=10.5 to
+    # fail inside range() and trials=True to run one trial
+    dict(trials=10.5),
+    dict(trials=True),
+    dict(seed=1.5),
+    dict(seed=True),
+    dict(workers=1.5),
+    dict(workers=True),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -113,7 +121,8 @@ def test_read_csv_round_trip(tmp_path):
 def test_same_seed_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(run_sweep(small_config())[0], p1)
-    write_csv(run_sweep(small_config())[0], p2)
+    # NumPy integers are accepted as the same trial count and seed
+    write_csv(run_sweep(small_config(trials=np.int64(30), seed=np.uint8(77)))[0], p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -284,7 +293,9 @@ def test_structure_sweep_report():
 
 
 @pytest.mark.parametrize("trials, seed, word", [(0, 4, "trials"), (-5, 4, "trials"),
-                                                 (1, -1, "seed")])
+                                                 (1, -1, "seed"), (2.5, 4, "trials"),
+                                                 (True, 4, "trials"), (1, 4.0, "seed"),
+                                                 (1, False, "seed")])
 def test_structure_sweep_refuses_empty_run_and_negative_seed(trials, seed, word):
     # a run over no channel would report success without checking anything
     with pytest.raises(ValueError, match=word):
