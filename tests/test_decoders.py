@@ -408,7 +408,7 @@ def branch_inputs(draw):
     return pam, v, r, d_outer, math.inf if radius is None else radius
 
 
-@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@settings(max_examples=400)
 @given(branch_inputs())
 def test_parallel_decisions_equal_lockstep_property(case):
     pam, v, r, d_outer, radius = case
@@ -419,7 +419,7 @@ def test_parallel_decisions_equal_lockstep_property(case):
     assert got_c == want_c
 
 
-@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@settings(max_examples=400)
 @given(branch_inputs())
 def test_leaf_bound_drops_only_leaves_that_cannot_beat_the_radius(case):
     # the tree search takes a leaf only when d_outer + d_p < radius, so a
@@ -542,7 +542,7 @@ def switch_estimates(draw):
     return qam, np.array(parts).view(complex)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(max_examples=300)
 @given(switch_estimates(), st.sampled_from(("4by4", "2by2")))
 def test_column_switch_equals_complex_reference(case, mode):
     # slicing errors on Python floats give the bits of the complex128 formula
@@ -631,7 +631,7 @@ def test_tree_search_toy_trace():
 CENTRES = ("level", "tie", "offset")
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-40, 40), m=st.sampled_from([4, 16, 64]),
        centres=st.lists(st.sampled_from(CENTRES), min_size=8, max_size=8))
 def test_table_policy_matches_centred_policy(seed, k, m, centres):
@@ -790,7 +790,7 @@ def test_simplified_refuses_unknown_switch_mode():
 METRIC_POINTS = ((4, -10.0), (4, 0.0), (4, 30.0), (4, 60.0), (16, 30.0), (16, 60.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-60, 60), point=st.sampled_from(METRIC_POINTS))
 def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point):
     # every search decoder reaches sd-baseline's registry metric (and brute
@@ -817,7 +817,7 @@ def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point
 ILL_POINTS = ((4, 0.0), (4, 10.0), (4, 20.0), (16, 20.0), (16, 30.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), column=st.integers(0, 15), k=st.integers(10, 30),
        point=st.sampled_from(ILL_POINTS))
 def test_search_decoders_reach_the_ml_metric_on_ill_conditioned_channels(seed, column, k, point):
@@ -846,7 +846,7 @@ CERTIFIED_SNR = {4: (0, 40), 16: (0, 24), 64: (16, 28)}
 
 
 @pytest.mark.parametrize("m", sorted(CERTIFIED_SNR))
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-240, 240), data=st.data())
 def test_search_decoders_are_certified_ml(m, seed, k, data):
     # every search decoder's answer is in the tie class of an enumeration

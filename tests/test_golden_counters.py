@@ -10,10 +10,11 @@ table only for an intended change of behaviour:
     PYTHONPATH=src python tests/test_golden_counters.py
 """
 
-from helpers import random_instance
+from helpers import assert_certified_ml, random_instance
 
 from mimo3d import build_qam, derive_rng
 from mimo3d.decoders import get_decoder
+from mimo3d.linalg import tilde_interleave
 
 SEED = 400
 CASES = ((4, 0), (4, 8), (4, 16), (16, 6), (16, 12), (16, 18))  # (M, SNR dB)
@@ -21,21 +22,28 @@ INSTANCES = 6
 DECODERS = ("sd-baseline", "simplified", "simplified-cs4", "simplified-cs2")
 
 
+def decode_all():
+    """Yield ``(M, snr, k, constellation, y, h_eq, {decoder: result})`` per
+    golden instance."""
+    for m, snr in CASES:
+        qam = build_qam(m)
+        for k in range(INSTANCES):
+            _, eq, y = random_instance(derive_rng(SEED, m, snr, k), qam, float(snr))
+            yield m, snr, k, qam, y, eq.h_eq, {
+                name: get_decoder(name)(y, eq.h_eq, qam) for name in DECODERS}
+
+
 def observe():
     """One row per (case, instance, decoder):
     ``(M, snr, k, decoder, symbols, tree, branches, leaves, mults, divs)``."""
     rows = []
-    for m, snr in CASES:
-        qam = build_qam(m)
+    for m, snr, k, qam, _, _, results in decode_all():
         points = list(qam.points)
-        for k in range(INSTANCES):
-            _, eq, y = random_instance(derive_rng(SEED, m, snr, k), qam, float(snr))
-            for name in DECODERS:
-                res = get_decoder(name)(y, eq.h_eq, qam)
-                c = res.counters
-                symbols = "".join(format(points.index(s), "x") for s in res.symbols)
-                rows.append((m, snr, k, name, symbols, c.tree_nodes, tuple(c.branch_nodes),
-                             c.leaves, c.mults, c.divs))
+        for name, res in results.items():
+            c = res.counters
+            symbols = "".join(format(points.index(s), "x") for s in res.symbols)
+            rows.append((m, snr, k, name, symbols, c.tree_nodes, tuple(c.branch_nodes),
+                         c.leaves, c.mults, c.divs))
     return rows
 
 
@@ -192,6 +200,16 @@ def test_golden_counters():
     assert len(got) == len(GOLDEN)
     for row, want in zip(got, GOLDEN):
         assert row == want
+
+
+def test_golden_decodes_are_certified_ml():
+    # one tie class per instance, certified on the first decoder's answer:
+    # every golden symbol vector must lie in it
+    for *_, qam, y, h_eq, results in decode_all():
+        first, *rest = results.values()
+        tie = assert_certified_ml(y, h_eq, qam, first)
+        for res in rest:
+            assert (tie == tilde_interleave(res.symbols)).all(axis=1).any()
 
 
 if __name__ == "__main__":

@@ -168,7 +168,7 @@ def near_level_or_midpoint(draw, m):
 
 
 @pytest.mark.parametrize("m", [4, 16])
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_se_order_equals_walk_property(m, data):
     pam = build_qam(m).pam
@@ -176,7 +176,7 @@ def test_se_order_equals_walk_property(m, data):
     assert se_order(x, pam) == se_order_walk(x, pam)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(max_examples=300)
 @given(x=near_level_or_midpoint(64))
 def test_se_order_64qam_within_one_ulp_of_walk_property(x):
     # the one-ulp exception in the se_order docstring: position by position,
