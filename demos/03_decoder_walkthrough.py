@@ -30,7 +30,6 @@ s_zf = zf_estimate(eq.h_eq, y_tilde)
 print("\nzero-forcing estimate:", np.round(s_zf, 3))
 _, plan = column_switch(s_zf, eq.h_eq, "2by2", qam)
 print("column-switch decode order:", plan.order)
-print("group reliabilities:", {k: f"{v:.3f}" for k, v in plan.epsilons.items()})
 
 print(f"\n{'decoder':<16}{'metric':>12}{'visited':>9}{'mults':>9}{'divs':>7}  errors")
 for name in ("bruteforce", "sd-baseline", "simplified", "simplified-cs4", "simplified-cs2"):

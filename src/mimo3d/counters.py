@@ -5,22 +5,22 @@ is defined):
 
 * ``mults`` counts scalar real multiplications executed by the decoding
   formulas: dot-product terms, squarings and scalings.  ``divs`` counts
-  scalar real divisions (QR normalizations, back-substitution,
-  sphere-decoder centering, slicing arguments).  Additions, comparisons,
-  square roots and table lookups are free.
-* Preprocessing is charged to the decoder that performs it, per step.
-  :func:`charge_rotation`: a QR of the 16x16 channel, ``16 * 16**2`` mults
-  and ``16 * 16`` divs (the Gram-Schmidt count, whichever routine computes
-  the factor), and the rotation ``z = Q^T y``, ``16 * 16`` mults.
-  :func:`charge_zf_switch`: the zero-forcing (ZF) estimate as a
-  back-substitution, ``16 * 15 / 2`` mults and 16 divs, and the column
-  switch's slicing errors over 8 complex estimates, 16 mults.
-* The charges follow the paper's preprocessing sequence, not the code's.
-  Every tree decoder is charged one rotation.  With a column switch the
-  two-stage decoder is also charged the ZF switch, plus a second rotation
-  after a non-identity order; the code runs one LU solve for the estimate
-  and then one Householder pass that factors the chosen channel and
-  rotates ``y`` together.  Without a switch nothing more is charged.
+  scalar real divisions (QR normalizations, LU multipliers,
+  back-substitution, sphere-decoder centering, slicing arguments).
+  Additions, comparisons, square roots, pivoting and table lookups are free.
+* Every charge follows what the code runs, and preprocessing is charged to
+  the decoder that runs it.  :func:`charge_rotation`: the one factorization
+  of a decode, a QR of the 16x16 channel, ``16 * 16**2`` mults and
+  ``16 * 16`` divs (the Gram-Schmidt count, whichever routine computes the
+  factor), and the rotation ``z = Q^T y``, ``16 * 16`` mults.  Every tree
+  decoder is charged it once, whatever order a column switch picks.
+  :func:`charge_zf_switch`: the zero-forcing (ZF) estimate as the LU solve
+  it runs (Golub and Van Loan, *Matrix Computations*, section 3.2): the
+  factorization, ``sum_{k=1..15} k**2 = 1240`` mults and 120 divs (the
+  multipliers); forward substitution with the unit lower factor, 120 mults;
+  back substitution, 120 mults and 16 divs; plus the column switch's
+  slicing errors over 8 complex estimates, 16 mults.  Only a decode with a
+  switch is charged it.
 * The tree searches charge what runs.  Every evaluated child costs 2 mults
   (the residual ``acc - r_ii s_i`` and its square).  The centred policy
   (``sd-baseline``) also charges, per expanded node, ``n - 1 - i`` mults for
@@ -77,6 +77,6 @@ def charge_rotation(counters):
 
 
 def charge_zf_switch(counters):
-    """ZF estimate by back-substitution, and the switch's slicing errors."""
-    counters.mults += 16 * 15 // 2 + 16
-    counters.divs += 16
+    """ZF estimate by one LU solve, and the switch's slicing errors."""
+    counters.mults += 1240 + 120 + 120 + 16
+    counters.divs += 120 + 16

@@ -80,10 +80,9 @@ _COLUMNS = {
 
 @dataclass(frozen=True)
 class ColumnSwitchPlan:
-    """Chosen decode order and the reliability metrics that selected it."""
+    """Chosen decode order."""
 
     order: tuple
-    epsilons: dict
 
     @property
     def is_identity(self):
@@ -146,10 +145,7 @@ def column_switch(s_zf, h_eq, mode, constellation):
         order = _HALF_SWAP  # first half decoded by the tree
         if mode == "2by2" and e34 < e12:
             order = _PAIR_AND_HALF_SWAP
-    plan = ColumnSwitchPlan(
-        order=order,
-        epsilons={"e12": e12, "e34": e34, "e14": e14, "e56": e56, "e78": e78, "e58": e58},
-    )
+    plan = ColumnSwitchPlan(order)
     if plan.is_identity:
         return h_eq, plan
     return np.asarray(h_eq).take(_COLUMNS[order], axis=1), plan
@@ -304,10 +300,9 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     search finds its S-E orders from R and ``z`` (the table policy of
     :func:`~.sphere.tree_search`), and the decided interleaved vector is put
     back in canonical order by the switch's column map.  The counters charge
-    the paper's preprocessing sequence: a rotation, plus, with a switch, the
-    zero-forcing switch and, after a non-identity order, a second rotation
-    (:func:`~mimo3d.counters.charge_rotation`,
-    :func:`~mimo3d.counters.charge_zf_switch`).
+    what runs: one factorization and rotation, whatever the order
+    (:func:`~mimo3d.counters.charge_rotation`), plus, with a switch, the LU
+    solve and the slicing errors (:func:`~mimo3d.counters.charge_zf_switch`).
 
     ``metric`` is the search distance ``||z - R s||^2`` in the rotated
     domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
@@ -327,8 +322,6 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         h_eq, plan = column_switch(s_zf, h_eq, switch_mode, constellation)
         order = plan.order
         charge_zf_switch(counters)
-        if not plan.is_identity:
-            charge_rotation(counters)
     qr = gram_schmidt_qr(h_eq, y)
     if two_stage_zeros(qr.r) > REL_TOL:
         raise ValueError("h_eq lacks the R zero structure of the 'new' codeword ordering")

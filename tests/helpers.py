@@ -217,10 +217,7 @@ def column_switch_reference(s_zf, h_eq, mode, constellation):
         order = half_swap
         if mode == "2by2" and e34 < e12:
             order = pair_and_half_swap
-    plan = ColumnSwitchPlan(
-        order=order,
-        epsilons={"e12": e12, "e34": e34, "e14": e14, "e56": e56, "e78": e78, "e58": e58},
-    )
+    plan = ColumnSwitchPlan(order)
     cols = [c for sym in order for c in (2 * sym, 2 * sym + 1)]
     return np.asarray(h_eq)[:, cols], plan
 
