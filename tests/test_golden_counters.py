@@ -50,148 +50,148 @@ def observe():
 GOLDEN = [
     (4, 0, 0, 'sd-baseline', '03213020', 2209, (0, 0, 0, 0), 3, 21735, 1537),
     (4, 0, 0, 'simplified', '03213020', 463, (264, 264, 264, 264), 164, 20074, 1384),
-    (4, 0, 0, 'simplified-cs4', '03213020', 361, (107, 107, 107, 107), 89, 16497, 973),
-    (4, 0, 0, 'simplified-cs2', '03213020', 361, (107, 107, 107, 107), 89, 16497, 973),
+    (4, 0, 0, 'simplified-cs4', '03213020', 361, (107, 107, 107, 107), 89, 13505, 837),
+    (4, 0, 0, 'simplified-cs2', '03213020', 361, (107, 107, 107, 107), 89, 13505, 837),
     (4, 0, 1, 'sd-baseline', '20122221', 709, (0, 0, 0, 0), 5, 9372, 658),
     (4, 0, 1, 'simplified', '20122221', 262, (61, 61, 61, 61), 47, 8699, 525),
-    (4, 0, 1, 'simplified-cs4', '20122221', 83, (20, 20, 20, 20), 16, 10280, 620),
-    (4, 0, 1, 'simplified-cs2', '20122221', 111, (24, 24, 24, 24), 18, 10539, 637),
+    (4, 0, 1, 'simplified-cs4', '20122221', 83, (20, 20, 20, 20), 16, 7288, 484),
+    (4, 0, 1, 'simplified-cs2', '20122221', 111, (24, 24, 24, 24), 18, 7547, 501),
     (4, 0, 2, 'sd-baseline', '10220303', 585, (0, 0, 0, 0), 4, 8532, 592),
     (4, 0, 2, 'simplified', '10220303', 179, (62, 62, 62, 62), 34, 7974, 524),
-    (4, 0, 2, 'simplified-cs4', '10220303', 179, (62, 62, 62, 62), 34, 8110, 540),
-    (4, 0, 2, 'simplified-cs2', '10220303', 179, (62, 62, 62, 62), 34, 8110, 540),
+    (4, 0, 2, 'simplified-cs4', '10220303', 179, (62, 62, 62, 62), 34, 9470, 660),
+    (4, 0, 2, 'simplified-cs2', '10220303', 179, (62, 62, 62, 62), 34, 9470, 660),
     (4, 0, 3, 'sd-baseline', '11023102', 1445, (0, 0, 0, 0), 3, 14854, 1079),
     (4, 0, 3, 'simplified', '11023102', 433, (126, 126, 126, 126), 99, 13110, 772),
-    (4, 0, 3, 'simplified-cs4', '11023102', 153, (20, 20, 20, 20), 14, 10342, 624),
-    (4, 0, 3, 'simplified-cs2', '11023102', 94, (18, 18, 18, 18), 12, 10080, 616),
+    (4, 0, 3, 'simplified-cs4', '11023102', 153, (20, 20, 20, 20), 14, 7350, 488),
+    (4, 0, 3, 'simplified-cs2', '11023102', 94, (18, 18, 18, 18), 12, 7088, 480),
     (4, 0, 4, 'sd-baseline', '03032331', 309, (0, 0, 0, 0), 2, 6351, 434),
     (4, 0, 4, 'simplified', '03032331', 158, (18, 18, 18, 18), 16, 5884, 340),
-    (4, 0, 4, 'simplified-cs4', '03032331', 158, (18, 18, 18, 18), 16, 6020, 356),
-    (4, 0, 4, 'simplified-cs2', '03032331', 60, (14, 14, 14, 14), 12, 9887, 595),
+    (4, 0, 4, 'simplified-cs4', '03032331', 158, (18, 18, 18, 18), 16, 7380, 476),
+    (4, 0, 4, 'simplified-cs2', '03032331', 60, (14, 14, 14, 14), 12, 6895, 459),
     (4, 0, 5, 'sd-baseline', '32222033', 1115, (0, 0, 0, 0), 4, 12983, 892),
     (4, 0, 5, 'simplified', '32222033', 220, (129, 129, 129, 129), 77, 11842, 798),
-    (4, 0, 5, 'simplified-cs4', '32222033', 89, (11, 11, 11, 11), 6, 9598, 584),
-    (4, 0, 5, 'simplified-cs2', '32222033', 89, (11, 11, 11, 11), 6, 9598, 584),
+    (4, 0, 5, 'simplified-cs4', '32222033', 89, (11, 11, 11, 11), 6, 6606, 448),
+    (4, 0, 5, 'simplified-cs2', '32222033', 89, (11, 11, 11, 11), 6, 6606, 448),
     (4, 8, 0, 'sd-baseline', '30122230', 296, (0, 0, 0, 0), 2, 6258, 428),
     (4, 8, 0, 'simplified', '30122230', 143, (45, 45, 45, 45), 42, 7754, 448),
-    (4, 8, 0, 'simplified-cs4', '30122230', 49, (9, 9, 9, 9), 7, 9505, 575),
-    (4, 8, 0, 'simplified-cs2', '30122230', 70, (11, 11, 11, 11), 9, 9691, 583),
+    (4, 8, 0, 'simplified-cs4', '30122230', 49, (9, 9, 9, 9), 7, 6513, 439),
+    (4, 8, 0, 'simplified-cs2', '30122230', 70, (11, 11, 11, 11), 9, 6699, 447),
     (4, 8, 1, 'sd-baseline', '02212203', 130, (0, 0, 0, 0), 1, 5163, 327),
     (4, 8, 1, 'simplified', '02212203', 60, (11, 11, 11, 11), 7, 5095, 311),
-    (4, 8, 1, 'simplified-cs4', '02212203', 68, (6, 6, 6, 6), 4, 9328, 564),
-    (4, 8, 1, 'simplified-cs2', '02212203', 48, (5, 5, 5, 5), 3, 9215, 559),
+    (4, 8, 1, 'simplified-cs4', '02212203', 68, (6, 6, 6, 6), 4, 6336, 428),
+    (4, 8, 1, 'simplified-cs2', '02212203', 48, (5, 5, 5, 5), 3, 6223, 423),
     (4, 8, 2, 'sd-baseline', '00010202', 172, (0, 0, 0, 0), 3, 5403, 350),
     (4, 8, 2, 'simplified', '00010202', 91, (14, 14, 14, 14), 10, 5377, 325),
-    (4, 8, 2, 'simplified-cs4', '00010202', 91, (14, 14, 14, 14), 10, 5513, 341),
-    (4, 8, 2, 'simplified-cs2', '00010202', 56, (8, 8, 8, 8), 5, 9407, 573),
+    (4, 8, 2, 'simplified-cs4', '00010202', 91, (14, 14, 14, 14), 10, 6873, 461),
+    (4, 8, 2, 'simplified-cs2', '00010202', 56, (8, 8, 8, 8), 5, 6415, 437),
     (4, 8, 3, 'sd-baseline', '31202000', 37, (0, 0, 0, 0), 1, 4552, 275),
     (4, 8, 3, 'simplified', '31202000', 21, (2, 2, 2, 2), 1, 4499, 273),
-    (4, 8, 3, 'simplified-cs4', '31202000', 17, (2, 2, 2, 2), 1, 8978, 544),
-    (4, 8, 3, 'simplified-cs2', '31202000', 19, (2, 2, 2, 2), 1, 8983, 545),
+    (4, 8, 3, 'simplified-cs4', '31202000', 17, (2, 2, 2, 2), 1, 5986, 408),
+    (4, 8, 3, 'simplified-cs2', '31202000', 19, (2, 2, 2, 2), 1, 5991, 409),
     (4, 8, 4, 'sd-baseline', '21133231', 61, (0, 0, 0, 0), 1, 4675, 290),
     (4, 8, 4, 'simplified', '21133231', 45, (2, 2, 2, 2), 1, 4549, 275),
-    (4, 8, 4, 'simplified-cs4', '21133231', 45, (2, 2, 2, 2), 1, 4685, 291),
-    (4, 8, 4, 'simplified-cs2', '21133231', 28, (2, 2, 2, 2), 1, 9001, 545),
+    (4, 8, 4, 'simplified-cs4', '21133231', 45, (2, 2, 2, 2), 1, 6045, 411),
+    (4, 8, 4, 'simplified-cs2', '21133231', 28, (2, 2, 2, 2), 1, 6009, 409),
     (4, 8, 5, 'sd-baseline', '31003110', 86, (0, 0, 0, 0), 1, 4840, 303),
     (4, 8, 5, 'simplified', '31003110', 53, (6, 6, 6, 6), 4, 4809, 291),
-    (4, 8, 5, 'simplified-cs4', '31003110', 42, (2, 2, 2, 2), 1, 9031, 547),
-    (4, 8, 5, 'simplified-cs2', '31003110', 24, (2, 2, 2, 2), 1, 8993, 545),
+    (4, 8, 5, 'simplified-cs4', '31003110', 42, (2, 2, 2, 2), 1, 6039, 411),
+    (4, 8, 5, 'simplified-cs2', '31003110', 24, (2, 2, 2, 2), 1, 6001, 409),
     (4, 16, 0, 'sd-baseline', '31333330', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 0, 'simplified', '31333330', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 0, 'simplified-cs4', '31333330', 16, (2, 2, 2, 2), 1, 8976, 544),
-    (4, 16, 0, 'simplified-cs2', '31333330', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (4, 16, 0, 'simplified-cs4', '31333330', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 0, 'simplified-cs2', '31333330', 16, (2, 2, 2, 2), 1, 5984, 408),
     (4, 16, 1, 'sd-baseline', '00103322', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 1, 'simplified', '00103322', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 1, 'simplified-cs4', '00103322', 16, (2, 2, 2, 2), 1, 8976, 544),
-    (4, 16, 1, 'simplified-cs2', '00103322', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (4, 16, 1, 'simplified-cs4', '00103322', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 1, 'simplified-cs2', '00103322', 16, (2, 2, 2, 2), 1, 5984, 408),
     (4, 16, 2, 'sd-baseline', '10220023', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 2, 'simplified', '10220023', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 2, 'simplified-cs4', '10220023', 16, (2, 2, 2, 2), 1, 8976, 544),
-    (4, 16, 2, 'simplified-cs2', '10220023', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (4, 16, 2, 'simplified-cs4', '10220023', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 2, 'simplified-cs2', '10220023', 16, (2, 2, 2, 2), 1, 5984, 408),
     (4, 16, 3, 'sd-baseline', '12101330', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 3, 'simplified', '12101330', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 3, 'simplified-cs4', '12101330', 16, (2, 2, 2, 2), 1, 4624, 288),
-    (4, 16, 3, 'simplified-cs2', '12101330', 16, (2, 2, 2, 2), 1, 4624, 288),
+    (4, 16, 3, 'simplified-cs4', '12101330', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 3, 'simplified-cs2', '12101330', 16, (2, 2, 2, 2), 1, 5984, 408),
     (4, 16, 4, 'sd-baseline', '11121130', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 4, 'simplified', '11121130', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 4, 'simplified-cs4', '11121130', 16, (2, 2, 2, 2), 1, 4624, 288),
-    (4, 16, 4, 'simplified-cs2', '11121130', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (4, 16, 4, 'simplified-cs4', '11121130', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 4, 'simplified-cs2', '11121130', 16, (2, 2, 2, 2), 1, 5984, 408),
     (4, 16, 5, 'sd-baseline', '11320233', 32, (0, 0, 0, 0), 1, 4536, 272),
     (4, 16, 5, 'simplified', '11320233', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (4, 16, 5, 'simplified-cs4', '11320233', 16, (2, 2, 2, 2), 1, 4624, 288),
-    (4, 16, 5, 'simplified-cs2', '11320233', 16, (2, 2, 2, 2), 1, 4624, 288),
+    (4, 16, 5, 'simplified-cs4', '11320233', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (4, 16, 5, 'simplified-cs2', '11320233', 16, (2, 2, 2, 2), 1, 5984, 408),
     (16, 6, 0, 'sd-baseline', '5afd1a37', 457, (0, 0, 0, 0), 8, 7301, 481),
     (16, 6, 0, 'simplified', '5afd1a37', 168, (43, 43, 43, 42), 29, 7165, 441),
-    (16, 6, 0, 'simplified-cs4', '5afd1a37', 168, (43, 43, 43, 42), 29, 7301, 457),
-    (16, 6, 0, 'simplified-cs2', '5afd1a37', 168, (43, 43, 43, 42), 29, 7301, 457),
+    (16, 6, 0, 'simplified-cs4', '5afd1a37', 168, (43, 43, 43, 42), 29, 8661, 577),
+    (16, 6, 0, 'simplified-cs2', '5afd1a37', 168, (43, 43, 43, 42), 29, 8661, 577),
     (16, 6, 1, 'sd-baseline', 'ff567e85', 21213, (0, 0, 0, 0), 4, 161648, 10874),
     (16, 6, 1, 'simplified', 'ff567e85', 2328, (1087, 1080, 1074, 1074), 782, 73596, 4588),
-    (16, 6, 1, 'simplified-cs4', 'ff567e85', 848, (83, 83, 86, 84), 57, 15391, 879),
-    (16, 6, 1, 'simplified-cs2', 'ff567e85', 220, (86, 89, 83, 82), 57, 14153, 881),
+    (16, 6, 1, 'simplified-cs4', 'ff567e85', 848, (83, 83, 86, 84), 57, 12399, 743),
+    (16, 6, 1, 'simplified-cs2', 'ff567e85', 220, (86, 89, 83, 82), 57, 11161, 745),
     (16, 6, 2, 'sd-baseline', 'a288e2b6', 532, (0, 0, 0, 0), 3, 7472, 521),
     (16, 6, 2, 'simplified', 'a288e2b6', 288, (48, 49, 48, 48), 39, 8002, 462),
-    (16, 6, 2, 'simplified-cs4', 'a288e2b6', 123, (29, 29, 30, 29), 22, 10878, 656),
-    (16, 6, 2, 'simplified-cs2', 'a288e2b6', 123, (29, 29, 30, 29), 22, 10878, 656),
+    (16, 6, 2, 'simplified-cs4', 'a288e2b6', 123, (29, 29, 30, 29), 22, 7886, 520),
+    (16, 6, 2, 'simplified-cs2', 'a288e2b6', 123, (29, 29, 30, 29), 22, 7886, 520),
     (16, 6, 3, 'sd-baseline', '29d18be3', 554, (0, 0, 0, 0), 3, 8061, 532),
     (16, 6, 3, 'simplified', '29d18be3', 141, (47, 49, 54, 47), 30, 7323, 465),
-    (16, 6, 3, 'simplified-cs4', '29d18be3', 266, (73, 68, 68, 68), 48, 13422, 818),
-    (16, 6, 3, 'simplified-cs2', '29d18be3', 266, (73, 68, 68, 68), 48, 13422, 818),
+    (16, 6, 3, 'simplified-cs4', '29d18be3', 266, (73, 68, 68, 68), 48, 10430, 682),
+    (16, 6, 3, 'simplified-cs2', '29d18be3', 266, (73, 68, 68, 68), 48, 10430, 682),
     (16, 6, 4, 'sd-baseline', '56b5097d', 7135, (0, 0, 0, 0), 4, 43230, 3856),
     (16, 6, 4, 'simplified', '56b5097d', 5642, (324, 326, 323, 361), 201, 33716, 1608),
-    (16, 6, 4, 'simplified-cs4', '56b5097d', 5642, (324, 326, 323, 361), 201, 33852, 1624),
-    (16, 6, 4, 'simplified-cs2', '56b5097d', 935, (582, 720, 575, 576), 334, 42237, 2999),
+    (16, 6, 4, 'simplified-cs4', '56b5097d', 5642, (324, 326, 323, 361), 201, 35212, 1744),
+    (16, 6, 4, 'simplified-cs2', '56b5097d', 935, (582, 720, 575, 576), 334, 39245, 2863),
     (16, 6, 5, 'sd-baseline', '262d0c49', 638, (0, 0, 0, 0), 2, 7616, 577),
     (16, 6, 5, 'simplified', '262d0c49', 451, (35, 36, 35, 35), 29, 7526, 412),
-    (16, 6, 5, 'simplified-cs4', '262d0c49', 451, (35, 36, 35, 35), 29, 7662, 428),
-    (16, 6, 5, 'simplified-cs2', '262d0c49', 302, (35, 35, 35, 35), 29, 11711, 683),
+    (16, 6, 5, 'simplified-cs4', '262d0c49', 451, (35, 36, 35, 35), 29, 9022, 548),
+    (16, 6, 5, 'simplified-cs2', '262d0c49', 302, (35, 35, 35, 35), 29, 8719, 547),
     (16, 12, 0, 'sd-baseline', '15e55ff6', 1217, (0, 0, 0, 0), 3, 11653, 864),
     (16, 12, 0, 'simplified', '15e55ff6', 611, (159, 159, 159, 159), 147, 16505, 907),
-    (16, 12, 0, 'simplified-cs4', '15e55ff6', 1213, (341, 340, 344, 339), 308, 34364, 1910),
-    (16, 12, 0, 'simplified-cs2', '15e55ff6', 1556, (484, 482, 483, 482), 424, 44135, 2479),
+    (16, 12, 0, 'simplified-cs4', '15e55ff6', 1213, (341, 340, 344, 339), 308, 31372, 1774),
+    (16, 12, 0, 'simplified-cs2', '15e55ff6', 1556, (484, 482, 483, 482), 424, 41143, 2343),
     (16, 12, 1, 'sd-baseline', 'ddc66def', 5474, (0, 0, 0, 0), 10, 38938, 2998),
     (16, 12, 1, 'simplified', 'ddc66def', 1775, (713, 722, 720, 747), 545, 52084, 3174),
-    (16, 12, 1, 'simplified-cs4', 'ddc66def', 1775, (713, 722, 720, 747), 545, 52220, 3190),
-    (16, 12, 1, 'simplified-cs2', 'ddc66def', 1775, (713, 722, 720, 747), 545, 52220, 3190),
+    (16, 12, 1, 'simplified-cs4', 'ddc66def', 1775, (713, 722, 720, 747), 545, 53580, 3310),
+    (16, 12, 1, 'simplified-cs2', 'ddc66def', 1775, (713, 722, 720, 747), 545, 53580, 3310),
     (16, 12, 2, 'sd-baseline', '83416481', 969, (0, 0, 0, 0), 4, 10326, 739),
     (16, 12, 2, 'simplified', '83416481', 426, (91, 90, 90, 90), 67, 10688, 632),
-    (16, 12, 2, 'simplified-cs4', '83416481', 134, (28, 30, 27, 27), 17, 10640, 652),
-    (16, 12, 2, 'simplified-cs2', '83416481', 150, (26, 26, 26, 27), 17, 10629, 645),
+    (16, 12, 2, 'simplified-cs4', '83416481', 134, (28, 30, 27, 27), 17, 7648, 516),
+    (16, 12, 2, 'simplified-cs2', '83416481', 150, (26, 26, 26, 27), 17, 7637, 509),
     (16, 12, 3, 'sd-baseline', '3cf29c97', 1432, (0, 0, 0, 0), 4, 13810, 971),
     (16, 12, 3, 'simplified', '3cf29c97', 382, (106, 106, 106, 106), 100, 12494, 694),
-    (16, 12, 3, 'simplified-cs4', '3cf29c97', 59, (4, 4, 4, 4), 2, 9165, 555),
-    (16, 12, 3, 'simplified-cs2', '3cf29c97', 33, (4, 4, 4, 4), 2, 9111, 553),
+    (16, 12, 3, 'simplified-cs4', '3cf29c97', 59, (4, 4, 4, 4), 2, 6173, 419),
+    (16, 12, 3, 'simplified-cs2', '3cf29c97', 33, (4, 4, 4, 4), 2, 6119, 417),
     (16, 12, 4, 'sd-baseline', '35e21b92', 4164, (0, 0, 0, 0), 5, 32255, 2337),
     (16, 12, 4, 'simplified', '35e21b92', 1233, (351, 396, 369, 336), 202, 25642, 1724),
-    (16, 12, 4, 'simplified-cs4', '35e21b92', 778, (145, 122, 120, 121), 76, 17246, 1054),
-    (16, 12, 4, 'simplified-cs2', '35e21b92', 569, (126, 130, 141, 128), 80, 17145, 1071),
+    (16, 12, 4, 'simplified-cs4', '35e21b92', 778, (145, 122, 120, 121), 76, 14254, 918),
+    (16, 12, 4, 'simplified-cs2', '35e21b92', 569, (126, 130, 141, 128), 80, 14153, 935),
     (16, 12, 5, 'sd-baseline', '65ca147e', 270, (0, 0, 0, 0), 3, 5935, 390),
     (16, 12, 5, 'simplified', '65ca147e', 142, (22, 22, 23, 22), 17, 6015, 359),
-    (16, 12, 5, 'simplified-cs4', '65ca147e', 142, (22, 22, 23, 22), 17, 6151, 375),
-    (16, 12, 5, 'simplified-cs2', '65ca147e', 142, (22, 22, 23, 22), 17, 6151, 375),
+    (16, 12, 5, 'simplified-cs4', '65ca147e', 142, (22, 22, 23, 22), 17, 7511, 495),
+    (16, 12, 5, 'simplified-cs2', '65ca147e', 142, (22, 22, 23, 22), 17, 7511, 495),
     (16, 18, 0, 'sd-baseline', '740e55cc', 32, (0, 0, 0, 0), 1, 4536, 272),
     (16, 18, 0, 'simplified', '740e55cc', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (16, 18, 0, 'simplified-cs4', '740e55cc', 16, (2, 2, 2, 2), 1, 8976, 544),
-    (16, 18, 0, 'simplified-cs2', '740e55cc', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (16, 18, 0, 'simplified-cs4', '740e55cc', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (16, 18, 0, 'simplified-cs2', '740e55cc', 16, (2, 2, 2, 2), 1, 5984, 408),
     (16, 18, 1, 'sd-baseline', 'f92d3561', 32, (0, 0, 0, 0), 1, 4536, 272),
     (16, 18, 1, 'simplified', 'f92d3561', 16, (2, 2, 2, 2), 1, 4488, 272),
-    (16, 18, 1, 'simplified-cs4', 'f92d3561', 16, (2, 2, 2, 2), 1, 8976, 544),
-    (16, 18, 1, 'simplified-cs2', 'f92d3561', 16, (2, 2, 2, 2), 1, 8976, 544),
+    (16, 18, 1, 'simplified-cs4', 'f92d3561', 16, (2, 2, 2, 2), 1, 5984, 408),
+    (16, 18, 1, 'simplified-cs2', 'f92d3561', 16, (2, 2, 2, 2), 1, 5984, 408),
     (16, 18, 2, 'sd-baseline', '7e2e4a9c', 66, (0, 0, 0, 0), 1, 4706, 289),
     (16, 18, 2, 'simplified', '7e2e4a9c', 45, (5, 5, 5, 5), 4, 4762, 284),
-    (16, 18, 2, 'simplified-cs4', '7e2e4a9c', 52, (6, 6, 6, 6), 5, 9340, 564),
-    (16, 18, 2, 'simplified-cs2', '7e2e4a9c', 62, (6, 6, 6, 6), 5, 9359, 563),
+    (16, 18, 2, 'simplified-cs4', '7e2e4a9c', 52, (6, 6, 6, 6), 5, 6348, 428),
+    (16, 18, 2, 'simplified-cs2', '7e2e4a9c', 62, (6, 6, 6, 6), 5, 6367, 427),
     (16, 18, 3, 'sd-baseline', '562c1788', 379, (0, 0, 0, 0), 2, 6534, 445),
     (16, 18, 3, 'simplified', '562c1788', 223, (34, 34, 34, 34), 30, 7080, 406),
-    (16, 18, 3, 'simplified-cs4', '562c1788', 223, (34, 34, 34, 34), 30, 7216, 422),
-    (16, 18, 3, 'simplified-cs2', '562c1788', 148, (24, 24, 24, 24), 21, 10741, 637),
+    (16, 18, 3, 'simplified-cs4', '562c1788', 223, (34, 34, 34, 34), 30, 8576, 542),
+    (16, 18, 3, 'simplified-cs2', '562c1788', 148, (24, 24, 24, 24), 21, 7749, 501),
     (16, 18, 4, 'sd-baseline', 'b508c782', 442, (0, 0, 0, 0), 3, 7161, 476),
     (16, 18, 4, 'simplified', 'b508c782', 181, (43, 45, 43, 44), 34, 7437, 443),
-    (16, 18, 4, 'simplified-cs4', 'b508c782', 214, (18, 18, 18, 18), 15, 10442, 614),
-    (16, 18, 4, 'simplified-cs2', 'b508c782', 194, (33, 33, 33, 33), 25, 11262, 674),
+    (16, 18, 4, 'simplified-cs4', 'b508c782', 214, (18, 18, 18, 18), 15, 7450, 478),
+    (16, 18, 4, 'simplified-cs2', 'b508c782', 194, (33, 33, 33, 33), 25, 8270, 538),
     (16, 18, 5, 'sd-baseline', 'f30f5925', 58, (0, 0, 0, 0), 1, 4663, 285),
     (16, 18, 5, 'simplified', 'f30f5925', 36, (4, 4, 4, 4), 3, 4674, 282),
-    (16, 18, 5, 'simplified-cs4', 'f30f5925', 49, (5, 5, 5, 5), 4, 9259, 557),
-    (16, 18, 5, 'simplified-cs2', 'f30f5925', 49, (5, 5, 5, 5), 4, 9259, 557),
+    (16, 18, 5, 'simplified-cs4', 'f30f5925', 49, (5, 5, 5, 5), 4, 6267, 421),
+    (16, 18, 5, 'simplified-cs2', 'f30f5925', 49, (5, 5, 5, 5), 4, 6267, 421),
 ]
 
 
