@@ -29,13 +29,27 @@ from .linalg import check_expand_matrix, gram_schmidt_qr, tilde_interleave, vec_
 N_RX = 2
 
 
+def check_integer(name, value, low):
+    """Raise :class:`ValueError` naming ``name`` unless ``value`` is an
+    ``int`` or a NumPy integer, not ``bool``, and at least ``low``."""
+    # bool is an int, but True as a count, seed or stream id is a mistake
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def derive_rng(seed, *stream_ids):
     """Deterministic, independent random stream for (seed, stream ids).
 
     Identical arguments always reproduce identical draws; distinct stream
     ids give statistically independent sequences.  Used to make Monte-Carlo
-    trials reproducible and order-independent.
+    trials reproducible and order-independent.  The seed and every stream id
+    must be a non-negative integer (:func:`check_integer`).
     """
+    check_integer("seed", seed, 0)
+    for i, x in enumerate(stream_ids):
+        check_integer(f"stream_ids[{i}]", x, 0)
     ids = tuple(int(x) for x in stream_ids)
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + ids))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import derive_rng, make_equivalent, sample_channel, snr_to_sigma2
+from .channel import check_integer, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from .code import VARIANTS, encode_direct
 from .decoders import get_decoder, verify_r_structure
 from .decoders.bruteforce import MAX_ORDER
@@ -34,20 +34,12 @@ from .modem import MODULATIONS, build_qam
 MAX_ATTEMPTS = 64
 
 
-def _check_integer(name, value, low):
-    # bool is an int, but True as a trial count or seed is a mistake
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 def check_trials_and_seed(trials, seed):
     """Refuse a run that would check nothing or that no random stream can
     seed: ``trials < 1`` or ``seed < 0``, or either not an integer (``int``
     or a NumPy integer, not ``bool``), each a :class:`ValueError`."""
-    _check_integer("trials", trials, 1)
-    _check_integer("seed", seed, 0)
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
 
 
 @dataclass
@@ -77,7 +69,7 @@ class SweepConfig:
             raise ValueError("need at least one decoder")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        _check_integer("workers", self.workers, 1)
+        check_integer("workers", self.workers, 1)
         for name in self.decoders:
             try:
                 get_decoder(name)

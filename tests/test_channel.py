@@ -31,6 +31,22 @@ def test_rng_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.5,), "seed"), ((True,), "seed"), (("3",), "seed"), ((-1,), "seed"),
+    ((1, 2.0), "stream_ids\\[0\\]"), ((1, 2, -1), "stream_ids\\[1\\]"),
+], ids=["seed-float", "seed-bool", "seed-str", "seed-negative", "id-float", "id-negative"])
+def test_rng_refuses_non_integer_seeds_and_ids(args, name):
+    # int() would truncate these onto the stream of another integer
+    with pytest.raises(ValueError, match=name):
+        derive_rng(*args)
+
+
+@pytest.mark.parametrize("one", [np.int64(1), np.uint8(1)])
+def test_rng_accepts_numpy_integers(one):
+    assert np.array_equal(derive_rng(one).standard_normal(4), derive_rng(1).standard_normal(4))
+    assert np.array_equal(derive_rng(2, one).standard_normal(4), derive_rng(2, 1).standard_normal(4))
+
+
 def test_rng_streams_uncorrelated():
     x = derive_rng(42, 0).standard_normal(20_000)
     y = derive_rng(42, 1).standard_normal(20_000)
