@@ -41,7 +41,7 @@ def test_rng_refuses_non_integer_seeds_and_ids(args, name):
         derive_rng(*args)
 
 
-@pytest.mark.parametrize("one", [np.int64(1), np.uint8(1)])
+@pytest.mark.parametrize("one", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
 def test_rng_accepts_numpy_integers(one):
     assert np.array_equal(derive_rng(one).standard_normal(4), derive_rng(1).standard_normal(4))
     assert np.array_equal(derive_rng(2, one).standard_normal(4), derive_rng(2, 1).standard_normal(4))
