@@ -11,7 +11,8 @@ outside the sphere.  The two enumeration policies of :func:`tree_search`
 differ only in how a node finds its centre:
 
 * centred -- the inner product over the node's row of R and one division
-  at every expanded node, for any upper-triangular R;
+  at every expanded node, for any upper-triangular R, as straight-line
+  code: one generated function per level, built once per dimension;
 * tables -- a per-decode table lookup, for R with the zero pattern of the
   two-stage decoder's tree block, which makes the code fast-decodable
   (Biglieri, Hong and Viterbo, "On fast-decodable space-time block codes",
@@ -29,6 +30,7 @@ lower bound shows it cannot beat the radius.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,6 +42,18 @@ from .structure import COUPLED_DIMS
 
 # the level each row of the tree block couples to; None for a diagonal row
 _COUPLED_LEVEL = tuple(dict(COUPLED_DIMS).get(i) for i in range(8))
+
+
+@functools.cache
+def level_functions(n):
+    """The ``n`` functions ``f_i(z_i, row, s) = z_i - row[i+1] * s[i+1] - ... - row[n-1] * s[n-1]``.
+
+    Compiled once per ``n`` from integer indices only, so they call nothing.
+    The chain runs left to right: it rounds as ``acc -= row[k] * s[k]`` over
+    ascending k does, bit for bit, without the loop's per-term overhead.
+    """
+    terms = [f" - row[{k}] * s[{k}]" for k in range(n)]
+    return tuple(eval("lambda z, row, s: z" + "".join(terms[i + 1:]), {}) for i in range(n))
 
 
 def tree_search(z, r, pam, leaf_fn, counters, tables=False):
@@ -54,7 +68,10 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     and ``acc`` are found:
 
     * ``False`` (centred): at every expanded node, the inner product over
-      the row (``n - 1 - i`` mults) and one division;
+      the row (``n - 1 - i`` mults) by ``level_functions(n)[i]``, a loop's
+      terms in its order, hence its bits, and one division.  ``descend``
+      reads ``n`` as ``len(row)``, so the tuple takes ``n``'s closure cell
+      and a decode leaves no more objects to the cyclic GC (simplified_ml);
     * ``True`` (tables): looked up from a per-decode table, for an ``r``
       with the pattern of the two-stage decoder's tree block: a row i
       paired with a level j in ``COUPLED_DIMS`` couples only to it
@@ -86,6 +103,7 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     # is one flat list of floats and the PamSet's shared order tuples: it
     # adds no object but itself to what a decode leaves (see simplified_ml)
     table = [None] * (2 * pam.order * n) if tables else None
+    levels = None if tables else level_functions(n)
     radius = math.inf
     best = best_payload = None
 
@@ -94,10 +112,8 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
         row = rows[i]
         rii = row[i]
         if table is None:
-            acc = z[i]
-            for k in range(i + 1, n):
-                acc -= row[k] * s[k]
-            counters.mults += n - 1 - i
+            acc = levels[i](z[i], row, s)
+            counters.mults += len(row) - 1 - i
             children = se_order(acc / rii, pam)
             counters.divs += 1
         else:

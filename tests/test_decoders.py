@@ -1,6 +1,7 @@
 import contextvars
 import gc
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from mimo3d.decoders.simplified import (
     simplified_ml,
     zf_estimate,
 )
-from mimo3d.decoders.sphere import sd_baseline, tree_search
+from mimo3d.decoders.sphere import level_functions, sd_baseline, tree_search
 from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, gram_cross, two_stage_zeros
-from mimo3d.linalg import RankDeficiencyError, gram_schmidt_qr, tilde_interleave
+from mimo3d.linalg import MAX_SCALE, RankDeficiencyError, gram_schmidt_qr, tilde_interleave
 from mimo3d.modem import se_order
 
 QPSK = build_qam(4)
@@ -712,6 +713,44 @@ def test_tree_search_runs_on_plain_floats(order):
     _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters(), tables=tables)
     assert type(dist) is float
     assert seen and set(seen) == {(float, float)}
+
+
+class _CountingFloat(float):
+    """A float that counts the products it is the left operand of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingFloat.products += 1
+        return float(self) * other
+
+
+# finite floats up to past the decoders' input scale bound, both zeros and
+# the bound itself included
+SEARCH_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, MAX_SCALE, -MAX_SCALE, 1.0 / MAX_SCALE)),
+    st.floats(min_value=-4 * MAX_SCALE, max_value=4 * MAX_SCALE),
+)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 16), data=st.data())
+def test_level_functions_equal_the_loop(n, data):
+    # each generated level function gives the loop's bits (-0.0 is not 0.0)
+    # and runs n - 1 - i products, the centred policy's mult charge
+    levels = level_functions(n)
+    assert level_functions(n) is levels
+    assert len(levels) == n
+    vectors = st.lists(SEARCH_FLOATS, min_size=n, max_size=n)
+    z, row, s = data.draw(vectors), data.draw(vectors), data.draw(vectors)
+    for i, level in enumerate(levels):
+        acc = z[i]
+        for k in range(i + 1, n):
+            acc -= row[k] * s[k]
+        assert struct.pack("d", level(z[i], row, s)) == struct.pack("d", acc), (i, acc)
+        _CountingFloat.products = 0
+        level(z[i], [_CountingFloat(x) for x in row], s)
+        assert _CountingFloat.products == n - 1 - i
 
 
 # the public decoders called directly, next to the registry names

@@ -16,6 +16,7 @@ from pathlib import Path
 import mimo3d.sweep
 from helpers import random_instance
 from mimo3d import build_qam, derive_rng, get_decoder
+from mimo3d.counters import OpCounters, charge_rotation
 from mimo3d.decoders import REGISTRY
 
 _spec = importlib.util.spec_from_file_location(
@@ -47,3 +48,20 @@ def test_every_trace_target_fires():
     assert silent == UNCALLED_SPANS, calls
     for _, _, name in tracing.COUNT_TARGETS:
         assert tracer.counts[name + ".calls"] > 0, name
+
+
+def test_sd_baseline_counts_one_se_order_call_per_expanded_node():
+    # the sphere and simplified modules count se_order under one name, so a
+    # baseline search that stopped calling through its module global would
+    # hide behind the two-stage decoders' calls; decoded alone, each
+    # expanded node is one call and one division beyond the QR's
+    rotation = OpCounters()
+    charge_rotation(rotation)
+    qam = build_qam(16)
+    decode = get_decoder("sd-baseline")
+    with tracing.Tracer() as tracer:
+        for t in range(3):
+            _, eq, y = random_instance(derive_rng(242, t), qam, 12.0)
+            before = tracer.counts["modem.se_order.calls"]
+            divs = decode(y, eq.h_eq, qam).counters.divs
+            assert tracer.counts["modem.se_order.calls"] - before == divs - rotation.divs, t
