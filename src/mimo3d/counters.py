@@ -30,15 +30,17 @@ is defined):
   mult for a level that couples to another.  It multiplies by no
   structural zero of R.  Both policies stop a sibling loop at the first
   child outside the radius, and that child is counted.
-* The parallel decisions charge what runs.  Every call forms the four
-  estimates ``v2 / r22`` (4 divs) and the leaf's lower bound, the squared
-  residual of each branch's first S-E candidate (8 mults).  A leaf whose
-  bound exceeds the radius stops there, counted as step 0 of all four
-  branches stopping: one ``branch_nodes`` each and nothing more.  Otherwise
-  every branch step costs 2 mults for its ``s2`` residual and square, and
-  every step but a stopping one slices ``s1`` for 3 mults and 1 div; the
-  step 0 residuals are recomputed, so a kept leaf pays the bound's 8 mults
-  on top.  The cancellation that forms ``v`` costs 64 mults per leaf.
+* The parallel decisions charge what runs.  The leaf's lower bound is
+  formed branch by branch, and each term it forms costs 8 mults for the
+  cancellation of its ``s2``-role target ``v2``, 1 div for the estimate
+  ``v2 / r22`` and 2 mults for the residual of the first S-E candidate and
+  its square.  A leaf dropped at the first running sum past the radius
+  stops there, after 1 to 4 terms, counted as step 0 of all four branches
+  stopping: one ``branch_nodes`` each and nothing more.  A kept leaf has
+  formed all four terms and pays 32 mults for the cancellation of its four
+  ``s1``-role targets.  Its branches reuse the bound's terms at step 0, and
+  every later branch step costs 2 mults for its ``s2`` residual and square;
+  every step but a stopping one slices ``s1`` for 3 mults and 1 div.
 * A *visited node* is one candidate assignment: at a tree level
   (``tree_nodes``) or at one step of a parallel decision branch
   (``branch_nodes``).  The reported aggregate is

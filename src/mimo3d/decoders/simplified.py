@@ -22,11 +22,13 @@ splits into:
   each branch's smallest ``s2`` term, which the branches decouple into
   four slices (the lower-bound pruning of Stojnic, Vikalo and Hassibi,
   "Speeding up the sphere decoder with H-infinity and SDP inspired lower
-  bounds", IEEE Trans. Signal Process. 2008).  The four branches of a
-  kept leaf run in lockstep and share termination information: a branch
-  stops when its ascending partial distance exceeds its own best, or when
-  it plus the recorded distances of already-finished branches and the
-  outer distance exceeds the sphere radius.
+  bounds", IEEE Trans. Signal Process. 2008).  It is summed branch by
+  branch and stops at the first sum past the radius; only a kept leaf
+  cancels its s1-role targets.  The four branches of a kept leaf run in
+  lockstep and share termination information: a branch stops when its
+  ascending partial distance exceeds its own best, or when it plus the
+  recorded distances of already-finished branches and the outer distance
+  exceeds the sphere radius.
 
 The worst case is sqrt(M)^8 = M^4 tree leaves with sqrt(M) candidates per
 branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
@@ -151,55 +153,78 @@ def column_switch(s_zf, h_eq, mode, constellation):
     return np.asarray(h_eq).take(_COLUMNS[order], axis=1), plan
 
 
-def compute_v(z, r, s_outer):
-    """Interference-cancelled targets for the four parallel branches.
-
-    ``v = z[0:8] - R[0:8, 8:16] s_outer`` as a list of Python floats, for
-    the decided tree symbols ``s_outer`` (the real 8-vector [c; d]) and the
-    decode's ndarrays ``z`` and ``r``, taken as they are.  Linear in
-    ``s_outer``; with ``s_outer = 0`` this is just ``z[0:8]``.
+def cancel(z_i, row, s_outer):
+    """``z_i - row[8] s_outer[0] - ... - row[15] s_outer[7]``: the target of
+    row i < 8 of R for the tree symbols ``s_outer`` (the real 8-vector
+    [c; d]), 8 mults.  Straight-line code, evaluated left to right, so it
+    rounds as ``acc -= row[8 + k] * s_outer[k]`` over ascending k does.
     """
-    return (z[:8] - r[:8, 8:16] @ s_outer).tolist()
+    return (z_i - row[8] * s_outer[0] - row[9] * s_outer[1] - row[10] * s_outer[2]
+            - row[11] * s_outer[3] - row[12] * s_outer[4] - row[13] * s_outer[5]
+            - row[14] * s_outer[6] - row[15] * s_outer[7])
 
 
-def parallel_decisions(v, r, radius, d_outer, pam, counters):
+def compute_v(z, r, s_outer):
+    """The four s1-role targets of a leaf the bound keeps, in branch order:
+    :func:`cancel` on the first row of each pair in ``COUPLED_DIMS``; the
+    bound has formed the s2-role ones.  32 mults.
+    """
+    (a1, _), (b1, _), (c1, _), (d1, _) = COUPLED_DIMS
+    return (cancel(z[a1], r[a1], s_outer), cancel(z[b1], r[b1], s_outer),
+            cancel(z[c1], r[c1], s_outer), cancel(z[d1], r[d1], s_outer))
+
+
+def _drop(counters, terms):
+    # a leaf the bound dropped after forming ``terms`` terms, counted as
+    # step 0 of all four branches stopping
+    counters.branch_nodes[:] = [k + 1 for k in counters.branch_nodes]
+    counters.mults += 10 * terms
+    counters.divs += terms
+    return None, None, math.inf
+
+
+def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     """Four synchronized 2-dim PAM searches; returns ``(a_hat, b_hat, d_p)``.
 
     Branch b solves ``min (v1 - r11 s1 - r12 s2)^2 + (v2 - r22 s2)^2`` over
-    the PAM grid using the entries of R named by ``COUPLED_DIMS[b]``: an S-E
-    loop over s2 (ordered by the branch's own unconstrained estimate
-    ``v2 / r22``, so partial distances ascend), with s1 obtained by slicing
-    ``(v1 - r12 s2) / r11``.  Iteration j of all branches completes before
-    iteration j+1 starts.  A branch stops when its partial distance exceeds
-    its own best, or when it plus the recorded distances of finished
-    branches plus ``d_outer`` exceeds ``radius``; ``radius=math.inf`` turns
-    this cross-branch test off.  Cross-branch stopping never changes the
-    decode outcome: it can only inflate ``d_p`` at leaves the radius test
-    rejects anyway.
+    the PAM grid using the entries of R named by ``COUPLED_DIMS[b]``, on the
+    targets of its two rows for the tree symbols ``s_outer``
+    (:func:`cancel`): an S-E loop over s2 (ordered by the branch's own
+    unconstrained estimate ``v2 / r22``, so partial distances ascend), with
+    s1 obtained by slicing ``(v1 - r12 s2) / r11``.  Iteration j of all
+    branches completes before iteration j+1 starts.  A branch stops when its
+    partial distance exceeds its own best, or when it plus the recorded
+    distances of finished branches plus ``d_outer`` exceeds ``radius``;
+    ``radius=math.inf`` turns this cross-branch test off.  Cross-branch
+    stopping never changes the decode outcome: it can only inflate ``d_p``
+    at leaves the radius test rejects anyway.
 
     Before any branch runs, the leaf's lower bound ``d_outer + sum_b
     (v2 - r22 s2)^2``, with ``s2`` each branch's first S-E candidate (the
     level nearest ``v2 / r22``), is compared with the radius.  Each branch
     distance is at least its ``s2`` term, and that term is smallest at the
-    nearest level, so the bound is at most ``d_outer + d_p``.  A leaf whose
-    bound exceeds ``radius`` by the relative margin ``1e-12`` returns
-    ``(None, None, inf)`` at once, and the search, which moves its radius
+    nearest level, so the bound is at most ``d_outer + d_p``.  It is formed
+    branch by branch (the s2-role target, its estimate and S-E order, the
+    term), and the leaf returns ``(None, None, inf)`` at the first running
+    sum ``((d_outer + t_a^2) + t_b^2) + ...`` that exceeds ``radius`` by the
+    relative margin ``1e-12``.  Adding a non-negative term never lowers a
+    rounded sum, so the running sums only grow: a leaf is dropped exactly
+    when the full sum would drop it.  The search, which moves its radius
     only on a strict improvement, would have rejected it anyway: no
     decision changes.  The margin lies far above the rounding of either
-    side, so rounding can only keep a leaf, never drop one.  The bound
-    reads the same ``v`` floats as the decisions, and each estimate
-    ``v2 / r22`` also picks its branch's S-E order, so a kept leaf divides
-    no more than without the bound.  An infinite radius (the first leaf)
-    never drops a leaf, and the radius tests are both off.
+    side, so rounding can only keep a leaf, never drop one.  An infinite
+    radius (the first leaf) never drops a leaf, and the radius tests are
+    both off.  Only a kept leaf forms its s1-role targets
+    (:func:`compute_v`); its branches reuse the bound's terms at step 0.
 
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
     before any decision or the bound dropped the leaf, which only happens
     at already-hopeless leaves).
     The diagonal of ``r`` must have passed the rank rule (``gram_schmidt_qr``).
-    ``v`` and ``r`` are read entry by entry, unconverted: the decoder hands
-    in the list from :func:`compute_v` and R as nested lists of Python
-    floats.  NumPy arrays give the same bits, only more slowly.
+    ``s_outer``, ``r`` (rows 0-7) and ``z`` (entries 0-7) are read entry by
+    entry, unconverted: the decoder hands in lists of Python floats.  NumPy
+    arrays give the same bits, only more slowly.
 
     The stop test of a branch reads only the finished branches, and its
     slice-and-update reads only its own state, so each live branch runs its
@@ -211,71 +236,84 @@ def parallel_decisions(v, r, radius, d_outer, pam, counters):
     locally and added once.
     """
     n = pam.order
-    # the four branches written out up to the bound, so that a dropped leaf
-    # builds no per-branch state
+    limit = radius * _BOUND_SLACK
+    # the bound's four terms written out, so that a dropped leaf builds no
+    # per-branch state and forms no term past the one that drops it
     (a1, a2), (b1, b2), (c1, c2), (d1, d2) = COUPLED_DIMS
-    va, ra = v[a2], r[a2][a2]
-    vb, rb = v[b2], r[b2][b2]
-    vc, rc = v[c2], r[c2][c2]
-    vd, rd = v[d2], r[d2][d2]
-    oa, ob = se_order(va / ra, pam), se_order(vb / rb, pam)
-    oc, od = se_order(vc / rc, pam), se_order(vd / rd, pam)
-    ta, tb = va - ra * oa[0], vb - rb * ob[0]
-    tc, td = vc - rc * oc[0], vd - rd * od[0]
-    if d_outer + ta * ta + tb * tb + tc * tc + td * td > radius * _BOUND_SLACK:
-        for b in range(4):
-            counters.branch_nodes[b] += 1
-        counters.mults += 8
-        counters.divs += 4
-        return None, None, math.inf
-    # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, then its
-    # state: best distance, its s1 and s2, steps run once it has stopped
-    branches = [[v[a1], r[a1][a1], r[a1][a2], va, ra, oa, math.inf, None, None, 0],
-                [v[b1], r[b1][b1], r[b1][b2], vb, rb, ob, math.inf, None, None, 0],
-                [v[c1], r[c1][c1], r[c1][c2], vc, rc, oc, math.inf, None, None, 0],
-                [v[d1], r[d1][d1], r[d1][d2], vd, rd, od, math.inf, None, None, 0]]
+    va, ra = cancel(z[a2], r[a2], s_outer), r[a2][a2]
+    oa = se_order(va / ra, pam)
+    ta = va - ra * oa[0]
+    qa = ta * ta
+    if d_outer + qa > limit:
+        return _drop(counters, 1)
+    vb, rb = cancel(z[b2], r[b2], s_outer), r[b2][b2]
+    ob = se_order(vb / rb, pam)
+    tb = vb - rb * ob[0]
+    qb = tb * tb
+    if d_outer + qa + qb > limit:
+        return _drop(counters, 2)
+    vc, rc = cancel(z[c2], r[c2], s_outer), r[c2][c2]
+    oc = se_order(vc / rc, pam)
+    tc = vc - rc * oc[0]
+    qc = tc * tc
+    if d_outer + qa + qb + qc > limit:
+        return _drop(counters, 3)
+    vd, rd = cancel(z[d2], r[d2], s_outer), r[d2][d2]
+    od = se_order(vd / rd, pam)
+    td = vd - rd * od[0]
+    qd = td * td
+    if d_outer + qa + qb + qc + qd > limit:
+        return _drop(counters, 4)
+    v1a, v1b, v1c, v1d = compute_v(z, r, s_outer)
+    # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, its step 0
+    # term, then its state: best distance, its s1 and s2, steps once stopped
+    branches = [[v1a, r[a1][a1], r[a1][a2], va, ra, oa, qa, math.inf, None, None, 0],
+                [v1b, r[b1][b1], r[b1][b2], vb, rb, ob, qb, math.inf, None, None, 0],
+                [v1c, r[c1][c1], r[c1][c2], vc, rc, oc, qc, math.inf, None, None, 0],
+                [v1d, r[d1][d1], r[d1][d2], vd, rd, od, qd, math.inf, None, None, 0]]
     live = branches.copy()
     finished = 0.0  # sum of the finished branches' minima, in branch order
     for j in range(n):
         i = 0
         while i < len(live):
             br = live[i]
-            v1, r11, r12, v2, r22, order, p, _, _, _ = br
+            v1, r11, r12, v2, r22, order, tau, p, _, _, _ = br
             s2 = order[j]
-            t = v2 - r22 * s2
-            tau = t * t
+            if j:  # step 0 reuses the bound's term
+                t = v2 - r22 * s2
+                tau = t * t
             if tau > p or tau + finished + d_outer > radius:
-                br[9] = j + 1
+                br[10] = j + 1
                 del live[i]
                 finished = 0.0
                 for other in branches:
-                    if other[9]:
-                        finished += other[6]
+                    if other[10]:
+                        finished += other[7]
                 continue
             cross = r12 * s2
             s1 = slice_pam((v1 - cross) / r11, pam)
             resid = v1 - r11 * s1 - cross
             d_full = resid * resid + tau
             if d_full < p:
-                br[6] = d_full
-                br[7] = s1
-                br[8] = s2
+                br[7] = d_full
+                br[8] = s1
+                br[9] = s2
             i += 1
         if not live:
             break
 
     steps = 0
     for b, br in enumerate(branches):
-        ran = br[9] or n  # a branch that never stopped ran every step
+        ran = br[10] or n  # a branch that never stopped ran every step
         counters.branch_nodes[b] += ran
         steps += ran
     decided = steps - (4 - len(live))  # every step but a stopping one slices s1
-    counters.mults += 8 + 2 * steps + 3 * decided  # 8 for the bound
+    counters.mults += 40 + 32 + 2 * (steps - 4) + 3 * decided  # bound, s1 targets, steps
     counters.divs += 4 + decided
     b0, b1, b2, b3 = branches
-    a_hat = (b0[7], b1[7], b0[8], b1[8])
-    b_hat = (b2[7], b3[7], b2[8], b3[8])
-    return a_hat, b_hat, b0[6] + b1[6] + b2[6] + b3[6]
+    a_hat = (b0[8], b1[8], b0[9], b1[9])
+    b_hat = (b2[8], b3[8], b2[9], b3[9])
+    return a_hat, b_hat, b0[7] + b1[7] + b2[7] + b3[7]
 
 
 def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
@@ -325,11 +363,11 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     qr = gram_schmidt_qr(h_eq, y)
     if two_stage_zeros(qr.r) > REL_TOL:
         raise ValueError("h_eq lacks the R zero structure of the 'new' codeword ordering")
-    z = qr.z
 
     pam = constellation.pam
     rows = qr.r.tolist()
-    # What the leaf's six cells (z, qr, counters, decide, rows, pam) and
+    z = qr.z.tolist()
+    # What the leaf's five cells (z, counters, decide, rows, pam) and
     # tree_search's inputs hold is left to the cyclic GC with the search's
     # reference cycle, and the sweep benchmark reads a change in that count
     # as a change in speed (tests/test_decoders.py,
@@ -337,12 +375,11 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):
-        v = compute_v(z, qr.r, s_outer)
-        a_hat, b_hat, d_p = decide(v, rows, radius, d_leaf, pam, counters)
+        a_hat, b_hat, d_p = decide(s_outer, rows, radius, d_leaf, pam, counters, z)
         return d_p, (a_hat, b_hat)
 
-    best_outer, payload, dist = tree_search(z[8:], qr.r[8:, 8:], pam, leaf, counters, tables=True)
-    counters.mults += 64 * counters.leaves  # compute_v at every leaf
+    best_outer, payload, dist = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters,
+                                            tables=True)
     if best_outer is None:  # unreachable: the first leaf always beats an infinite radius
         raise RuntimeError("tree search returned no candidate")
 

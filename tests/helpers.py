@@ -110,16 +110,25 @@ def se_order_walk(estimate, pam):
     return tuple(out)
 
 
-def leaf_bound(v, r, d_outer, pam):
-    """``d_outer + sum_b min_s2 (v2 - r22 s2)^2``, each minimum at the level
-    nearest ``v2 / r22`` by the walk slicer: a lower bound on ``d_outer``
-    plus the parallel decisions' distance."""
+def leaf_bound_sums(v, r, d_outer, pam):
+    """The leaf bound's running sums ``d_outer + t_0^2``, ``(d_outer + t_0^2)
+    + t_1^2``, ... over the four branches in branch order, each
+    ``t_b = v2 - r22 s2`` at the level nearest ``v2 / r22`` by the walk
+    slicer."""
+    sums = []
     bound = d_outer
     for _, i2 in COUPLED_DIMS:
         v2, r22 = float(v[i2]), float(r[i2][i2])
         t = v2 - r22 * pam.level_tuple[slice_index_walk(v2 / r22, pam)]
         bound += t * t
-    return bound
+        sums.append(bound)
+    return sums
+
+
+def leaf_bound(v, r, d_outer, pam):
+    """``d_outer + sum_b min_s2 (v2 - r22 s2)^2``, the full four-term sum: a
+    lower bound on ``d_outer`` plus the parallel decisions' distance."""
+    return leaf_bound_sums(v, r, d_outer, pam)[-1]
 
 
 def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_branch_stop=True):
@@ -129,22 +138,29 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
 
     A leaf whose :func:`leaf_bound` exceeds ``radius`` by the relative
     margin 1e-12 returns ``(None, None, inf)`` at once, charged as step 0
-    of all four branches stopping.  ``cross_branch_stop=False`` turns both
-    radius tests off, as an infinite radius does; the bound's 8 mults are
-    charged either way."""
+    of all four branches stopping, plus 10 mults and 1 div for each bound
+    term up to the first running sum past that margin.  A kept leaf is
+    charged all four terms and 32 mults for its s1 targets, and its step 0
+    ``s2`` terms are the bound's.  ``cross_branch_stop=False`` turns both
+    radius tests off, as an infinite radius does."""
     c = counters
-    c.mults += 8
-    if cross_branch_stop and leaf_bound(v, r, d_outer, pam) > radius * (1 + 1e-12):
+    limit = radius * (1 + 1e-12)
+    formed = 4
+    if cross_branch_stop:
+        sums = leaf_bound_sums(v, r, d_outer, pam)
+        formed = next((k + 1 for k, total in enumerate(sums) if total > limit), 4)
+    c.mults += 10 * formed
+    c.divs += formed
+    if cross_branch_stop and leaf_bound(v, r, d_outer, pam) > limit:
         c.branch_nodes[:] = [n + 1 for n in c.branch_nodes]
-        c.divs += 4
         return None, None, math.inf
+    c.mults += 32
     branches = []
     for i1, i2 in COUPLED_DIMS:
         r11 = float(r[i1][i1])
         r12 = float(r[i1][i2])
         r22 = float(r[i2][i2])
         order = se_order_walk(float(v[i2]) / r22, pam)
-        c.divs += 1
         branches.append((float(v[i1]), float(v[i2]), r11, r12, r22, order))
 
     active = [True] * 4
@@ -163,7 +179,7 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
             c.branch_nodes[b] += 1
             t = v2 - r22 * cand[b]
             tau[b] = t * t
-            c.mults += 2
+            c.mults += 2 if j else 0  # the bound formed step 0's term
             stop = tau[b] > p[b]
             if not stop and cross_branch_stop:
                 others = 0.0

@@ -129,7 +129,7 @@ def test_criterion_4_branch_oracle():
         rng = derive_rng(9005, pam_order)
         for _ in range(count):
             v, r = random_branch_fixture(rng, pam)
-            a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
+            a_hat, b_hat, d_p = parallel_decisions([0.0] * 8, r, math.inf, 0.0, pam, OpCounters(), v)
             decided = [
                 (a_hat[0], a_hat[2]), (a_hat[1], a_hat[3]),
                 (b_hat[0], b_hat[2]), (b_hat[1], b_hat[3]),

@@ -10,6 +10,7 @@ from helpers import (
     branch_oracle,
     column_switch_reference,
     leaf_bound,
+    leaf_bound_sums,
     parallel_decisions_lockstep,
     random_branch_fixture,
     random_instance,
@@ -22,8 +23,10 @@ from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_t
 from mimo3d.counters import OpCounters
 from mimo3d.decoders import REGISTRY, get_decoder, verify_r_structure
 from mimo3d.decoders.bruteforce import ml_bruteforce
+import mimo3d.decoders.simplified as simplified_module
 from mimo3d.decoders.simplified import (
     ALLOWED_ORDERS,
+    cancel,
     column_switch,
     compute_v,
     parallel_decisions,
@@ -38,6 +41,17 @@ from mimo3d.modem import se_order
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
 SEARCH_DECODERS = ("sd-baseline", "simplified", "simplified-cs4", "simplified-cs2")
+
+
+def decide(v, r, radius, d_outer, pam, counters):
+    """:func:`parallel_decisions` on the targets ``v`` themselves: with every
+    tree symbol 0, each cancelled target is its entry of ``z``."""
+    return parallel_decisions([0.0] * 8, r, radius, d_outer, pam, counters, v)
+
+
+def all_targets(z, r, s_outer):
+    """All eight cancelled targets ``z[0:8] - R[0:8, 8:16] s_outer``."""
+    return np.array([cancel(z[i], r[i], s_outer) for i in range(8)])
 
 
 def test_registry_names():
@@ -212,8 +226,8 @@ def test_identity_switch_costs_exactly_the_lu_solve():
 
 def test_cross_branch_termination_is_transparent(monkeypatch):
     # an infinite radius turns the cross-branch test off
-    def no_cross_stop(v, r, radius, d_outer, pam, counters):
-        return parallel_decisions(v, r, math.inf, d_outer, pam, counters)
+    def no_cross_stop(s_outer, r, radius, d_outer, pam, counters, z):
+        return parallel_decisions(s_outer, r, math.inf, d_outer, pam, counters, z)
 
     rng = derive_rng(209)
     instances = [random_instance(rng, QAM16, 4.0 + (i % 12)) for i in range(60)]
@@ -247,7 +261,7 @@ def test_metric_decomposition():
         st = tilde_interleave(QAM16.points[rng.integers(0, 16, 8)])
         a, b, c, d = st[0:4], st[4:8], st[8:12], st[12:16]
         full = np.sum((z - r @ st) ** 2)
-        v = np.array(compute_v(z, r, st[8:16]))
+        v = all_targets(z, r, st[8:16])
         split = (
             np.sum((v[0:4] - r[0:4, 0:4] @ a) ** 2)
             + np.sum((v[4:8] - r[4:8, 4:8] @ b) ** 2)
@@ -258,14 +272,18 @@ def test_metric_decomposition():
 
 
 def test_compute_v_basics():
+    # the s1-role targets, rows 0, 1, 4 and 5: z itself at s_outer = 0, and
+    # linear in s_outer
     rng = derive_rng(212)
     _, eq, y = random_instance(rng, QPSK, 10.0)
     r, z = gram_schmidt_qr(eq.h_eq, y)
-    assert np.array_equal(compute_v(z, r, np.zeros(8)), z[:8])
+    rows = [i1 for i1, _ in COUPLED_DIMS]
+    assert np.array_equal(compute_v(z, r, np.zeros(8)), z[rows])
     s1, s2 = rng.standard_normal(8), rng.standard_normal(8)
     lhs = np.array(compute_v(z, r, s1 + s2))
-    rhs = np.array(compute_v(z, r, s1)) + np.array(compute_v(z, r, s2)) - z[:8]
+    rhs = np.array(compute_v(z, r, s1)) + np.array(compute_v(z, r, s2)) - z[rows]
     assert np.abs(lhs - rhs).max() < 1e-10
+    assert np.array_equal(compute_v(z, r, s1), all_targets(z, r, s1)[rows])
 
 
 def test_compute_v_noiseless_forward_model():
@@ -273,7 +291,7 @@ def test_compute_v_noiseless_forward_model():
     s, eq, y = random_instance(rng, QPSK, None)
     r, z = gram_schmidt_qr(eq.h_eq, y)
     st = tilde_interleave(s)
-    v = np.array(compute_v(z, r, st[8:16]))
+    v = all_targets(z, r, st[8:16])
     expected = r[0:8, 0:8] @ st[0:8]  # R12 block is (numerically) zero
     assert np.abs(v - expected).max() < 1e-10
 
@@ -284,7 +302,7 @@ def test_parallel_decisions_branch_oracle(pam_order):
     rng = derive_rng(214, pam_order)
     for _ in range(2000):
         v, r = random_branch_fixture(rng, pam)
-        a_hat, b_hat, d_p = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
+        a_hat, b_hat, d_p = decide(v, r, math.inf, 0.0, pam, OpCounters())
         decided = [
             (a_hat[0], a_hat[2]), (a_hat[1], a_hat[3]),
             (b_hat[0], b_hat[2]), (b_hat[1], b_hat[3]),
@@ -304,7 +322,7 @@ def test_parallel_decisions_visit_bound():
     rng = derive_rng(215)
     v, r = random_branch_fixture(rng, pam)
     counters = OpCounters()
-    parallel_decisions(v, r, math.inf, 0.0, pam, counters)
+    decide(v, r, math.inf, 0.0, pam, counters)
     assert all(n <= pam.order for n in counters.branch_nodes)
 
 
@@ -312,8 +330,8 @@ def test_parallel_decisions_relative_rank_rule():
     pam = QAM16.pam
     v, r = random_branch_fixture(derive_rng(229), pam)
     scale = 2.0**-46
-    got = parallel_decisions(v * scale, r * scale, math.inf, 0.0, pam, OpCounters())
-    want = parallel_decisions(v, r, math.inf, 0.0, pam, OpCounters())
+    got = decide(v * scale, r * scale, math.inf, 0.0, pam, OpCounters())
+    want = decide(v, r, math.inf, 0.0, pam, OpCounters())
     assert got[:2] == want[:2] and got[2] == want[2] * scale**2
 
 
@@ -350,7 +368,7 @@ def test_parallel_decisions_matches_lockstep_oracle(m):
         cross = t % 8 != 0
         got_c, want_c, plain_c = OpCounters(), OpCounters(), OpCounters()
         # radius=math.inf turns both radius tests off, as cross=False does
-        got = parallel_decisions(v, r, radius if cross else math.inf, d_outer, pam, got_c)
+        got = decide(v, r, radius if cross else math.inf, d_outer, pam, got_c)
         want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c, cross)
         assert got == want  # a_hat, b_hat and d_p, exactly
         assert got_c == want_c  # branch_nodes, mults, divs (tree counters untouched)
@@ -378,7 +396,7 @@ def test_parallel_decisions_sums_finished_branches_in_branch_order():
         r[i1, i1], r[i2, i2] = 1.0, (10.0 if b < 3 else 1.0)
     radius = 46.30445035288266
     got_c, want_c = OpCounters(), OpCounters()
-    got = parallel_decisions(v, r, radius, 0.0, pam, got_c)
+    got = decide(v, r, radius, 0.0, pam, got_c)
     want = parallel_decisions_lockstep(v, r, radius, 0.0, pam, want_c)
     assert got == want
     assert got_c == want_c
@@ -386,6 +404,19 @@ def test_parallel_decisions_sums_finished_branches_in_branch_order():
 
 
 PAMS = {m: build_qam(m).pam for m in (4, 16, 64)}
+
+
+def _on_threshold(total):
+    """A radius whose threshold ``radius * (1 + 1e-12)`` is ``total``
+    exactly, if one lies within 4 ulps of ``total / (1 + 1e-12)``; else that
+    quotient."""
+    below = above = total / (1 + 1e-12)
+    for _ in range(5):
+        for radius in (below, above):
+            if radius * (1 + 1e-12) == total:
+                return radius
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    return total / (1 + 1e-12)
 
 
 @st.composite
@@ -397,8 +428,10 @@ def branch_inputs(draw):
     In a tight case every s1 residual is exactly 0, so the leaf bound equals
     ``d_outer + d_p`` up to the order of summation.  Everything is scaled by
     a power of two, which is exact, and the radius is infinite, a share of
-    the unbounded distance, or within a few ulps or a few 1e-12 of the leaf
-    bound on either side."""
+    the unbounded distance, within a few ulps or a few 1e-12 of the leaf
+    bound on either side, one whose threshold ``radius * (1 + 1e-12)`` is a
+    running sum of the bound exactly (where such a radius exists), or one
+    ulp or 1e-12 above ``d_outer``."""
     pam = PAMS[draw(st.sampled_from(sorted(PAMS)))]
     levels = pam.level_tuple
     targets = levels + tuple((a + b) / 2 for a, b in zip(levels, levels[1:]))
@@ -424,6 +457,8 @@ def branch_inputs(draw):
         | st.floats(0.0, 1.5).map(lambda share: d_outer + free * share)
         | st.sampled_from((1 - 4e-12, 1 - 1e-12, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 1e-12))
         .map(lambda near: leaf_bound(v, r, d_outer, pam) * near)
+        | st.sampled_from(leaf_bound_sums(v, r, d_outer, pam)).map(_on_threshold)
+        | st.sampled_from((2**-52, 1e-12)).map(lambda gap: d_outer * (1 + gap))
     )
     return pam, v, r, d_outer, math.inf if radius is None else radius
 
@@ -433,7 +468,7 @@ def branch_inputs(draw):
 def test_parallel_decisions_equal_lockstep_property(case):
     pam, v, r, d_outer, radius = case
     got_c, want_c = OpCounters(), OpCounters()
-    got = parallel_decisions(v, r, radius, d_outer, pam, got_c)
+    got = decide(v, r, radius, d_outer, pam, got_c)
     want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c)
     assert got == want  # a_hat, b_hat and d_p, exactly
     assert got_c == want_c
@@ -445,9 +480,76 @@ def test_leaf_bound_drops_only_leaves_that_cannot_beat_the_radius(case):
     # the tree search takes a leaf only when d_outer + d_p < radius, so a
     # dropped leaf must fail that test with the unbounded decisions too
     pam, v, r, d_outer, radius = case
-    if parallel_decisions(v, r, radius, d_outer, pam, OpCounters())[0] is None:
+    if decide(v, r, radius, d_outer, pam, OpCounters())[0] is None:
         free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
         assert d_outer + free >= radius
+
+
+@settings(max_examples=400)
+@given(branch_inputs())
+def test_leaf_bound_stops_at_the_first_running_sum_past_the_radius(case):
+    # the short-circuit drops exactly the leaves whose full four-term sum
+    # (helpers.leaf_bound, its own slicer) is past the threshold, and a
+    # dropped leaf is charged the terms it formed: 10 mults and 1 div each,
+    # up to the first running sum past it
+    pam, v, r, d_outer, radius = case
+    counters = OpCounters()
+    dropped = decide(v, r, radius, d_outer, pam, counters)[0] is None
+    limit = radius * (1 + 1e-12)
+    sums = leaf_bound_sums(v, r, d_outer, pam)
+    assert sums == sorted(sums)  # adding a non-negative term never lowers a sum
+    assert dropped == (leaf_bound(v, r, d_outer, pam) > limit)
+    if dropped:
+        formed = next(k + 1 for k, total in enumerate(sums) if total > limit)
+        assert counters.branch_nodes == [1, 1, 1, 1]
+        assert (counters.mults, counters.divs) == (10 * formed, formed)
+
+
+def test_compute_v_runs_only_for_kept_leaves(monkeypatch):
+    # the s1-role targets are formed once per leaf the bound keeps, and
+    # never for a dropped one
+    calls = {"kept": 0, "compute_v": 0}
+
+    def counted_decisions(*args):
+        result = parallel_decisions(*args)
+        calls["kept"] += result[0] is not None
+        return result
+
+    def counted_v(*args):
+        calls["compute_v"] += 1
+        return compute_v(*args)
+
+    monkeypatch.setattr(simplified_module, "parallel_decisions", counted_decisions)
+    monkeypatch.setattr(simplified_module, "compute_v", counted_v)
+    leaves = 0
+    for t in range(4):
+        _, eq, y = random_instance(derive_rng(244, t), QAM16, 12.0)
+        for name in ("simplified", "simplified-cs2"):
+            leaves += get_decoder(name)(y, eq.h_eq, QAM16).counters.leaves
+    assert calls["compute_v"] == calls["kept"]
+    assert 0 < calls["kept"] < leaves  # the bound dropped some leaves
+
+
+# finite floats whose products and sums stay far from overflow, with both
+# zeros and exact binary fractions drawn explicitly
+CANCEL_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -0.5, 2.0**-30)),
+                          st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300)
+@given(z_i=CANCEL_FLOATS, row=st.lists(CANCEL_FLOATS, min_size=16, max_size=16),
+       s_outer=st.lists(CANCEL_FLOATS, min_size=8, max_size=8))
+def test_cancel_equals_the_loop_and_numpy(z_i, row, s_outer):
+    # a row's cancellation gives the ascending-k loop's bits (-0.0 is not
+    # 0.0) and NumPy's z_i - R[i, 8:16] @ s within 1e-12 of the terms' size
+    acc = z_i
+    for k in range(8):
+        acc -= row[8 + k] * s_outer[k]
+    got = cancel(z_i, row, s_outer)
+    assert struct.pack("d", got) == struct.pack("d", acc)
+    want = z_i - np.array(row[8:]) @ np.array(s_outer)
+    size = abs(z_i) + sum(abs(row[8 + k] * s_outer[k]) for k in range(8))
+    assert abs(got - want) <= 1e-12 * size
 
 
 @pytest.mark.parametrize("m", [4, 16])
@@ -918,7 +1020,7 @@ def test_search_decoders_are_certified_ml(m, seed, k, data):
 
 
 @pytest.mark.parametrize("name, garbage", [
-    ("sd-baseline", 37), ("simplified", 59), ("simplified-cs4", 59), ("simplified-cs2", 59),
+    ("sd-baseline", 37), ("simplified", 58), ("simplified-cs4", 58), ("simplified-cs2", 58),
 ])
 def test_per_decode_cyclic_garbage(name, garbage):
     """Pins how many gc-tracked objects one decode leaves in generation 0.

@@ -8,7 +8,12 @@ counting convention shows up here as an exact mismatch.  Regenerate the
 table only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden_counters.py
+
+It prints the new table to stdout and, to stderr, how many rows differ from
+``GOLDEN`` in each column, so a regeneration shows which counters it moved.
 """
+
+import sys
 
 from helpers import assert_certified_ml, random_instance
 
@@ -212,6 +217,15 @@ def test_golden_decodes_are_certified_ml():
             assert (tie == tilde_interleave(res.symbols)).all(axis=1).any()
 
 
+COLUMNS = ("M", "snr", "k", "decoder", "symbols", "tree_nodes", "branch_nodes", "leaves",
+           "mults", "divs")
+
+
 if __name__ == "__main__":
-    for row in observe():
+    rows = observe()
+    for row in rows:
         print(f"    {row!r},")
+    changed = [sum(new[c] != old[c] for new, old in zip(rows, GOLDEN)) for c in range(len(COLUMNS))]
+    print(f"rows changed per column, of {len(rows)} (table had {len(GOLDEN)}):", file=sys.stderr)
+    for name, count in zip(COLUMNS, changed):
+        print(f"  {name}: {count}", file=sys.stderr)
