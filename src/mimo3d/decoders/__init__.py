@@ -29,7 +29,9 @@ three are :func:`~.simplified.simplified_ml` with ``switch_mode`` "none",
 Public names: :func:`get_decoder`, :func:`verify_r_structure` and the types
 they return, :class:`DecodeResult` and :class:`StructureReport`.  The stage
 functions live in their submodules: ``simplified_ml``, ``zf_estimate``,
-``column_switch``, ``compute_v`` and ``parallel_decisions`` in
+``column_switch``, ``parallel_decisions`` (the leaf stage: the bound, summed
+branch by branch from straight-line ``cancel`` calls, then the branches),
+and ``compute_v`` (a kept leaf's s1-role targets) in
 :mod:`.simplified`, ``tree_search`` and ``sd_baseline`` in :mod:`.sphere`,
 ``ml_bruteforce`` in :mod:`.bruteforce`.  They keep those names, and this
 module keeps its ``simplified_ml``, ``sd_baseline`` and ``gram_schmidt_qr``
