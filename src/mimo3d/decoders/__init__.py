@@ -1,19 +1,21 @@
-"""Decoder registry: every decoder shares one instrumentation contract.
+"""Decoder registry: the one decoder API, with one instrumentation contract.
 
 Registry entries are callables ``fn(y_tilde, h_eq, constellation) ->
 DecodeResult`` that perform their own counted preprocessing (QR, rotation,
 linear estimation), so operation counts are comparable across decoders.
-The reported metric is ``||y - H_eq s||^2`` for the returned symbols
-(uncharged; see :mod:`mimo3d.counters`): brute force computes exactly that,
-and the tree decoders' search distances are replaced by it in
-:func:`_reported_metric`, the one place that computes it.  Every decoder
-refuses an ``h_eq`` that is not 16x16, a ``y_tilde`` whose shape is not
-(16,) or (16, 1), and a complex dtype, a NaN, inf or out-of-range scale in either
-argument, with a :class:`ValueError` that names it (:func:`~mimo3d.linalg.require_decodable`).
+Each checks and converts its input once, runs its search core and builds
+its result.  The input check (:func:`~mimo3d.linalg.require_decodable`)
+refuses, naming the argument, a ``constellation`` that is not a
+:class:`~mimo3d.modem.QamConstellation` (:class:`TypeError`) and a wrong
+shape or dtype, a NaN, inf or out-of-range scale in ``y_tilde`` or
+``h_eq`` (:class:`ValueError`).  The reported metric is ``||y - H_eq s||^2``
+for the returned symbols (uncharged; see :mod:`mimo3d.counters`): brute
+force computes it over every candidate, and :func:`_result` builds both
+tree decoders' results with it.
 
 Each decode runs its guards once, at the entry: that input check, the rank
 rule in :func:`~mimo3d.linalg.gram_schmidt_qr` and, for the two-stage
-decoder, its switch mode, the singular zero-forcing solve and
+decoder, the singular zero-forcing solve and
 :func:`~.structure.two_stage_zeros`.  The stages take these as given.
 
 Ties: where two candidates are equally close to ``y`` in exact arithmetic,
@@ -21,31 +23,22 @@ rounding decides between them, and different decoders may return different
 members of that tie class.  Each returns one of them, and the reported
 metrics agree within 1e-9 relative.
 
-Names: ``bruteforce``, ``sd-baseline``, ``simplified``, ``simplified-cs4``,
-``simplified-cs2``.  A name is the only way to pick a decoder; the last
-three are :func:`~.simplified.simplified_ml` with ``switch_mode`` "none",
-"4by4" and "2by2".
-
-Public names: :func:`get_decoder`, :func:`verify_r_structure` and the types
-they return, :class:`DecodeResult` and :class:`StructureReport`.  The stage
-functions live in their submodules: ``simplified_ml``, ``zf_estimate``,
-``column_switch``, ``parallel_decisions`` (the leaf stage: the bound, summed
-branch by branch from straight-line ``cancel`` calls, then the branches),
-and ``compute_v`` (a kept leaf's s1-role targets) in
-:mod:`.simplified`, ``tree_search`` and ``sd_baseline`` in :mod:`.sphere`,
-``ml_bruteforce`` in :mod:`.bruteforce`.  They keep those names, and this
-module keeps its ``simplified_ml``, ``sd_baseline`` and ``gram_schmidt_qr``
-globals, because the benchmark's tracer (``bench/tracing.py``) wraps them
-where they are looked up at call time.  The two tree decoders share one
-search engine (:mod:`.sphere`).
+Public names: the registry names, ``bruteforce``, ``sd-baseline``,
+``simplified``, ``simplified-cs4`` and ``simplified-cs2`` (the last three
+differ only in their column switch), resolved by :func:`get_decoder`, are
+the decoder API; with them come :func:`verify_r_structure` and the types
+the two return, :class:`DecodeResult` and :class:`StructureReport`.  The
+search cores and stages stay where they are only as the targets the
+benchmark's tracer (``bench/tracing.py``) wraps where they are looked up
+at call time: this module's ``simplified_ml``, ``sd_baseline`` and
+``gram_schmidt_qr``, and the stages of :mod:`.simplified` and
+:mod:`.sphere`, which share one search engine.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..counters import OpCounters, charge_rotation
-from ..linalg import gram_schmidt_qr, require_decodable
+from ..linalg import complex_from_interleaved, gram_schmidt_qr, require_decodable
 from .bruteforce import ml_bruteforce
 from .result import DecodeResult
 # simplified_ml and sd_baseline are the search cores of the registry entries,
@@ -57,27 +50,27 @@ from .structure import StructureReport, verify_r_structure
 __all__ = ["DecodeResult", "StructureReport", "get_decoder", "verify_r_structure"]
 
 
-def _reported_metric(result, y_tilde, h_eq):
+def _result(decided, counters, y, h_eq):
     # symbols is a fresh complex128 vector, so its float view is the
-    # interleaved [re, im, ..] vector, exactly
-    resid = np.asarray(y_tilde, dtype=float).ravel() - h_eq @ result.symbols.view(float)
-    result.metric = float(resid @ resid)
-    return result
+    # decided interleaved vector, exactly
+    symbols = complex_from_interleaved(decided)
+    resid = y - h_eq @ symbols.view(float)
+    return DecodeResult(symbols=symbols, metric=float(resid @ resid), counters=counters)
 
 
 def _decode_baseline(y_tilde, h_eq, constellation):
-    require_decodable(y_tilde, h_eq)
+    y, h_eq = require_decodable(y_tilde, h_eq, constellation)
     counters = OpCounters()
-    r, z = gram_schmidt_qr(h_eq, y_tilde)
+    r, z = gram_schmidt_qr(h_eq, y)
     charge_rotation(counters)
-    result = sd_baseline(z, r, constellation, counters)
-    return _reported_metric(result, y_tilde, h_eq)
+    return _result(sd_baseline(z, r, constellation, counters), counters, y, h_eq)
 
 
 def _make_simplified(mode):
     def decode(y_tilde, h_eq, constellation):
-        result = simplified_ml(y_tilde, h_eq, constellation, switch_mode=mode)
-        return _reported_metric(result, y_tilde, h_eq)
+        y, h_eq = require_decodable(y_tilde, h_eq, constellation)
+        counters = OpCounters()
+        return _result(simplified_ml(y, h_eq, constellation, mode, counters), counters, y, h_eq)
 
     decode.__name__ = f"decode_simplified_{mode}"
     return decode

@@ -37,18 +37,16 @@ def ml_bruteforce(y_tilde, h_eq, constellation):
     """Minimize ``||y - H_eq s||^2`` over the full constellation product.
 
     Ties are broken toward the lexicographically smallest symbol-index
-    vector.  Refuses constellations above QPSK (M^8 blowup) and input that
-    :func:`~mimo3d.linalg.require_decodable` rejects, both with
-    :class:`ValueError`.
+    vector.  Refuses constellations above QPSK (M^8 blowup) with
+    :class:`ValueError`, and input as :func:`~mimo3d.linalg.require_decodable` does.
     """
-    require_decodable(y_tilde, h_eq)
+    y, h_eq = require_decodable(y_tilde, h_eq, constellation)
     if constellation.order > MAX_ORDER:
         raise ValueError(
             f"brute force limited to M <= {MAX_ORDER} (M={constellation.order} needs {constellation.order**8} candidates)"
         )
-    y = np.asarray(y_tilde, dtype=float).ravel()
     pts, real = _candidates(constellation.order)
-    resid = real @ np.asarray(h_eq, dtype=float).T
+    resid = real @ h_eq.T
     resid -= y
     metrics = np.einsum("ij,ij->i", resid, resid)
     k = int(np.argmin(metrics))

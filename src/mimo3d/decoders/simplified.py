@@ -46,22 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..counters import OpCounters, charge_rotation, charge_zf_switch
+from ..counters import charge_rotation, charge_zf_switch
 from ..linalg import (
     RankDeficiencyError,
     # unused here, but a span target of the benchmark's tracer
     # (bench/tracing.py SPAN_TARGETS), which looks it up in this module
     back_substitute,  # noqa: F401
-    complex_from_interleaved,
     gram_schmidt_qr,
-    require_decodable,
 )
 from ..modem import se_order, slice_pam
-from .result import DecodeResult
 from .sphere import tree_search
 from .structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
-
-SWITCH_MODES = ("none", "4by4", "2by2")
 
 # a leaf is dropped only when its lower bound exceeds the radius by this
 # relative margin, far above the rounding of either side (parallel_decisions)
@@ -97,9 +92,9 @@ def zf_estimate(h_eq, y):
     One LU solve (``np.linalg.solve``) of the square equivalent channel, run
     before any factorization so that the column switch can choose the decode
     order first.  ``h_eq`` and ``y`` come checked, as float arrays with
-    ``y`` ravelled (:func:`simplified_ml`).  Returns the complex symbols as
-    a dtype view of the fresh interleaved solution, so ``s.view(float)``
-    reads it back bit for bit.  Linear in ``y``.
+    ``y`` ravelled (:func:`~mimo3d.linalg.require_decodable`).  Returns the
+    complex symbols as a dtype view of the fresh interleaved solution, so
+    ``s.view(float)`` reads it back bit for bit.  Linear in ``y``.
 
     Raises
     ------
@@ -121,7 +116,7 @@ def column_switch(s_zf, h_eq, mode, constellation):
     The worse half goes to the tree stage; in ``2by2`` mode the worse pair
     inside the tree half is additionally moved toward the root, mirrored in
     the other half to keep the R structure; ``mode`` is "4by4" or "2by2",
-    as :func:`simplified_ml` checked it.  Returns ``h_eq`` with column pairs
+    as a registry entry passes it.  Returns ``h_eq`` with column pairs
     permuted accordingly (``h_eq`` itself for the identity order) plus the
     plan for de-permutation.
 
@@ -316,19 +311,20 @@ def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     return a_hat, b_hat, b0[7] + b1[7] + b2[7] + b3[7]
 
 
-def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
-    """Full two-stage decode of one received codeword.
+def simplified_ml(y, h_eq, constellation, switch_mode, counters):
+    """Two-stage decode of one received codeword; returns the decided
+    interleaved 16-vector in canonical order.
 
-    ``h_eq`` must come from the "new" codeword ordering.  That is checked
-    on the R factor the decode runs on, against every entry either stage
-    reads as zero, relative to ``max|R|`` (:func:`~.structure.two_stage_zeros`).
-    Any other channel raises :class:`ValueError`, because the decoder would
-    return a non-ML answer on it.  All three switch modes return the same ML
-    solution; they differ only in search effort.  Raises :class:`ValueError`
-    naming the argument on input :func:`~mimo3d.linalg.require_decodable`
-    refuses, and propagates :class:`~mimo3d.linalg.RankDeficiencyError` on
-    degenerate channels.  An unknown ``switch_mode`` is refused first.  No
-    stage checks again.
+    The search core of the ``simplified*`` registry entries, which pass the
+    checked input (float arrays, ``y`` ravelled), ``switch_mode`` "none",
+    "4by4" or "2by2" and fresh ``counters``.  ``h_eq`` must come from the
+    "new" codeword ordering.  That is checked on the R factor the decode
+    runs on, against every entry either stage reads as zero, relative to
+    ``max|R|`` (:func:`~.structure.two_stage_zeros`).  Any other channel
+    raises :class:`ValueError`, because the decoder would return a non-ML
+    answer on it.  All three switch modes return the same ML solution; they
+    differ only in search effort.  Propagates
+    :class:`~mimo3d.linalg.RankDeficiencyError` on degenerate channels.
 
     With a column switch, the zero-forcing estimate comes from one LU solve
     of ``h_eq`` (:func:`zf_estimate`), and the switch reads it to choose the
@@ -336,23 +332,12 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
     channel ``H_eq P`` is then factored, once, in one Householder pass that
     also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
     search finds its S-E orders from R and ``z`` (the table policy of
-    :func:`~.sphere.tree_search`), and the decided interleaved vector is put
-    back in canonical order by the switch's column map.  The counters charge
+    :func:`~.sphere.tree_search`), and the decided vector is put back in
+    canonical order by the switch's column map.  ``counters`` is charged
     what runs: one factorization and rotation, whatever the order
     (:func:`~mimo3d.counters.charge_rotation`), plus, with a switch, the LU
     solve and the slicing errors (:func:`~mimo3d.counters.charge_zf_switch`).
-
-    ``metric`` is the search distance ``||z - R s||^2`` in the rotated
-    domain, equal to ``||y - H_eq s||^2`` up to rounding because ``H_eq`` is
-    square; the registry entries report the received-domain value.
     """
-    if switch_mode not in SWITCH_MODES:
-        raise ValueError(f"unknown switch mode {switch_mode!r}; expected one of {SWITCH_MODES}")
-    require_decodable(y_tilde, h_eq)
-    h_eq = np.asarray(h_eq, dtype=float)
-    counters = OpCounters()
-    y = np.asarray(y_tilde, dtype=float).ravel()
-
     charge_rotation(counters)
     order = _IDENTITY
     if switch_mode != "none":
@@ -378,12 +363,8 @@ def simplified_ml(y_tilde, h_eq, constellation, switch_mode="none"):
         a_hat, b_hat, d_p = decide(s_outer, rows, radius, d_leaf, pam, counters, z)
         return d_p, (a_hat, b_hat)
 
-    best_outer, payload, dist = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters,
-                                            tables=True)
-    if best_outer is None:  # unreachable: the first leaf always beats an infinite radius
-        raise RuntimeError("tree search returned no candidate")
-
-    a_hat, b_hat = payload
+    best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters,
+                                                tables=True)
     decided = np.empty(16)  # interleaved, canonical order: the columns undo the switch
     decided[_COLUMNS[order]] = (*a_hat, *b_hat, *best_outer)
-    return DecodeResult(symbols=complex_from_interleaved(decided), metric=dist, counters=counters)
+    return decided

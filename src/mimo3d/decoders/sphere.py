@@ -35,9 +35,7 @@ import math
 
 import numpy as np
 
-from ..linalg import complex_from_interleaved
 from ..modem import se_order
-from .result import DecodeResult
 from .structure import COUPLED_DIMS
 
 # the level each row of the tree block couples to; None for a diagonal row
@@ -161,10 +159,6 @@ def sd_baseline(z_tilde, r, constellation, counters):
     The search core of the ``sd-baseline`` registry entry, which checks the
     input, rotates it and charges the QR to ``counters`` first; ``r`` must be
     upper triangular with positive diagonal (``gram_schmidt_qr`` output).
+    Returns the decided interleaved 16-vector, a list of floats.
     """
-    best, _, metric = tree_search(z_tilde, r, constellation.pam, None, counters)
-    return DecodeResult(
-        symbols=complex_from_interleaved(best),
-        metric=metric,
-        counters=counters,
-    )
+    return tree_search(z_tilde, r, constellation.pam, None, counters)[0]

@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .modem import QamConstellation
+
 # An R diagonal entry below this fraction of the largest one is treated as
 # rank deficiency.  The rule is relative, so it holds at any channel scale;
 # for random fading channels it is a probability-zero event and the trial is
@@ -148,37 +150,48 @@ def require_full_rank(diag):
             )
 
 
-def require_decodable(y_tilde, h_eq):
-    """Raise :class:`ValueError` naming the argument that has the wrong shape,
-    has a complex dtype, holds a NaN or inf, or lies outside the scale the
-    decoders can run on.
+def require_decodable(y_tilde, h_eq, constellation):
+    """Check one decode's input and return it as float arrays ``(y, h_eq)``,
+    ``y`` ravelled: the only conversion a decode makes.  Raises
+    :class:`TypeError` unless ``constellation`` is a
+    :class:`~mimo3d.modem.QamConstellation`, before any of its attributes
+    is read, and :class:`ValueError` naming the argument that has the wrong
+    shape, a dtype other than real float or integer, a NaN or inf, or a
+    scale the decoders cannot run on.
 
     ``h_eq`` must be 16x16 and ``y_tilde`` of shape (16,) or (16, 1): any
     other layout of 16 entries, such as a 4x4 block of real and imaginary
     rows, would ravel to a wrong order and decode silently to other symbols.
-    Both are the real interleaved model
-    (:func:`tilde_interleave`, :func:`check_expand_matrix`): a complex dtype,
-    even with zero imaginary parts, is refused, because converting it to
-    float would drop the imaginary parts.  The search distances are squares of
-    entries at the scale of the input, which overflow from about 1e154 and
-    lose bits below about 1e-154, so ``max|h_eq|`` must lie within
-    ``[2^-256, 2^256]`` and ``max|y_tilde|`` be at most ``2^256``.  Not a
-    :class:`RankDeficiencyError`, which the sweep would swallow and
-    resample."""
-    if np.shape(h_eq) != (16, 16):
-        raise ValueError(f"h_eq has shape {np.shape(h_eq)}; the decoders need 16x16")
-    if np.shape(y_tilde) not in ((16,), (16, 1)):
-        raise ValueError(f"y_tilde has shape {np.shape(y_tilde)}; the decoders need (16,) or (16, 1)")
+    Both are the real interleaved model (:func:`tilde_interleave`,
+    :func:`check_expand_matrix`): a complex dtype, even with zero imaginary
+    parts, is refused, because converting it to float would drop the
+    imaginary parts, and so is a bool, str, bytes or object one.  The search
+    distances are squares of entries at the scale of the input, which
+    overflow from about 1e154 and lose bits below about 1e-154, so
+    ``max|h_eq|`` must lie within ``[2^-256, 2^256]`` and ``max|y_tilde|``
+    be at most ``2^256``.  Not a :class:`RankDeficiencyError`, which the
+    sweep would swallow and resample."""
+    if not isinstance(constellation, QamConstellation):
+        raise TypeError(f"constellation is a {type(constellation).__name__}; the decoders "
+                        "need a QamConstellation (build_qam)")
+    y_tilde, h_eq = np.asarray(y_tilde), np.asarray(h_eq)
+    if h_eq.shape != (16, 16):
+        raise ValueError(f"h_eq has shape {h_eq.shape}; the decoders need 16x16")
+    if y_tilde.shape not in ((16,), (16, 1)):
+        raise ValueError(f"y_tilde has shape {y_tilde.shape}; the decoders need (16,) or (16, 1)")
     for name, value, low, need in (("y_tilde", y_tilde, 0.0, "at most 2^256"),
                                    ("h_eq", h_eq, 1.0 / MAX_SCALE, "within [2^-256, 2^256]")):
-        if np.iscomplexobj(value):
+        if value.dtype.kind == "c":
             raise ValueError(f"{name} has a complex dtype; the decoders need the real "
                              "interleaved model")
-        top = float(np.abs(value).max())
+        if value.dtype.kind not in "fiu":
+            raise ValueError(f"{name} has dtype {value.dtype}; the decoders need real numbers")
+        top = float(np.abs(value, dtype=float).max())
         if not top < np.inf:  # also true for NaN
             raise ValueError(f"{name} contains NaN or inf; the decoders need finite input")
         if not low <= top <= MAX_SCALE:
             raise ValueError(f"{name} has largest magnitude {top:.3e}; the decoders need {need}")
+    return y_tilde.astype(float, copy=False).ravel(), h_eq.astype(float, copy=False)
 
 
 def back_substitute(r, z):

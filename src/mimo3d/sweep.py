@@ -64,7 +64,17 @@ class SweepConfig:
             raise ValueError("snr_step must be positive")
         if self.snr_stop < self.snr_start:
             raise ValueError("snr_stop must be >= snr_start")
+        constellation = build_qam(MODULATIONS[self.modulation])
+        for name, snr in (("snr_start", self.snr_start), ("snr_stop", self.snr_stop)):
+            try:
+                sigma2 = snr_to_sigma2(snr, constellation)
+            except (OverflowError, ZeroDivisionError):  # 10^(snr/10) past the float range
+                sigma2 = 0.0
+            if not 0.0 < sigma2 < math.inf:
+                raise ValueError(f"{name} {snr:g} dB gives no finite, positive noise variance")
         check_trials_and_seed(self.trials, self.seed)
+        if isinstance(self.decoders, str):
+            raise ValueError(f"decoders must be a sequence of registry names, not {self.decoders!r}")
         if not self.decoders:
             raise ValueError("need at least one decoder")
         if self.variant not in VARIANTS:

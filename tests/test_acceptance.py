@@ -15,14 +15,13 @@ from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel
 from mimo3d.cli import main
 from mimo3d.counters import OpCounters
 from mimo3d.decoders import get_decoder, verify_r_structure
-from mimo3d.decoders.bruteforce import ml_bruteforce
-from mimo3d.decoders.simplified import parallel_decisions, simplified_ml
+from mimo3d.decoders.simplified import parallel_decisions
 from mimo3d.decoders.structure import COUPLED_DIMS
 from mimo3d.sweep import SweepConfig, run_sweep
 
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
-MODES = ("none", "4by4", "2by2")
+SIMPLIFIED = ("simplified", "simplified-cs4", "simplified-cs2")
 
 
 def _report(num, ok, detail):
@@ -40,8 +39,8 @@ def qpsk_oracle_run():
     for i in range(1000):
         snr = 20.0 * i / 999
         s_true, eq, y = random_instance(rng, QPSK, snr)
-        ref = ml_bruteforce(y, eq.h_eq, QPSK)
-        per_mode = {m: simplified_ml(y, eq.h_eq, QPSK, switch_mode=m) for m in MODES}
+        ref = get_decoder("bruteforce")(y, eq.h_eq, QPSK)
+        per_mode = {name: get_decoder(name)(y, eq.h_eq, QPSK) for name in SIMPLIFIED}
         per_mode["sd-baseline"] = baseline(y, eq.h_eq, QPSK)
         records.append((s_true, ref, per_mode))
     return records, time.perf_counter() - start
@@ -57,7 +56,7 @@ def qam16_oracle_run():
         snr = 8.0 + 12.0 * i / 199
         s_true, eq, y = random_instance(rng, QAM16, snr)
         ref = baseline(y, eq.h_eq, QAM16)
-        per_mode = {m: simplified_ml(y, eq.h_eq, QAM16, switch_mode=m) for m in MODES}
+        per_mode = {name: get_decoder(name)(y, eq.h_eq, QAM16) for name in SIMPLIFIED}
         records.append((s_true, ref, per_mode))
     return records
 
@@ -157,8 +156,8 @@ def test_criterion_5_complexity_bounds(qpsk_oracle_run, qam16_oracle_run):
     for records, m in ((qpsk_oracle_run[0], 4), (qam16_oracle_run, 16)):
         root_m = math.isqrt(m)
         for _, _, per_mode in records:
-            for mode in MODES:  # bounds apply to the two-stage decoder
-                c = per_mode[mode].counters
+            for name in SIMPLIFIED:  # bounds apply to the two-stage decoder
+                c = per_mode[name].counters
                 total += 1
                 if c.leaves > m**4:
                     violations += 1

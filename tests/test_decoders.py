@@ -20,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
-from mimo3d.counters import OpCounters
+from mimo3d.counters import OpCounters, charge_rotation
 from mimo3d.decoders import REGISTRY, get_decoder, verify_r_structure
-from mimo3d.decoders.bruteforce import ml_bruteforce
 import mimo3d.decoders.simplified as simplified_module
 from mimo3d.decoders.simplified import (
     ALLOWED_ORDERS,
@@ -41,6 +40,8 @@ from mimo3d.modem import se_order
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
 SEARCH_DECODERS = ("sd-baseline", "simplified", "simplified-cs4", "simplified-cs2")
+# the two-stage registry entries, by the column switch each runs
+SIMPLIFIED = {"none": "simplified", "4by4": "simplified-cs4", "2by2": "simplified-cs2"}
 
 
 def decide(v, r, radius, d_outer, pam, counters):
@@ -65,7 +66,7 @@ def test_registry_names():
 def test_bruteforce_noiseless():
     rng = derive_rng(200)
     s, eq, y = random_instance(rng, QPSK, None)
-    res = ml_bruteforce(y, eq.h_eq, QPSK)
+    res = get_decoder("bruteforce")(y, eq.h_eq, QPSK)
     assert np.array_equal(res.symbols, s)
     assert res.metric < 1e-18
     assert res.counters.tree_nodes == 4**8  # exhaustive by construction
@@ -76,7 +77,7 @@ def test_bruteforce_refuses_large_constellations():
     rng = derive_rng(201)
     _, eq, y = random_instance(rng, QAM16, 10.0)
     with pytest.raises(ValueError):
-        ml_bruteforce(y, eq.h_eq, QAM16)
+        get_decoder("bruteforce")(y, eq.h_eq, QAM16)
 
 
 def test_baseline_matches_bruteforce_qpsk():
@@ -85,7 +86,7 @@ def test_baseline_matches_bruteforce_qpsk():
     for i in range(150):
         snr = 20.0 * i / 149
         s, eq, y = random_instance(rng, QPSK, snr)
-        ref = ml_bruteforce(y, eq.h_eq, QPSK)
+        ref = get_decoder("bruteforce")(y, eq.h_eq, QPSK)
         res = decode(y, eq.h_eq, QPSK)
         assert abs(res.metric - ref.metric) <= 1e-9
         if not np.array_equal(res.symbols, ref.symbols):  # metric tie only
@@ -105,20 +106,20 @@ def test_baseline_noiseless_trace():
     assert res.counters.tree_nodes == 32
 
 
-@pytest.mark.parametrize("mode", ["none", "4by4", "2by2"])
+@pytest.mark.parametrize("mode", SIMPLIFIED)
 def test_simplified_matches_bruteforce_qpsk(mode):
     rng = derive_rng(204)
     for i in range(100):
         snr = 20.0 * i / 99
         s, eq, y = random_instance(rng, QPSK, snr)
-        ref = ml_bruteforce(y, eq.h_eq, QPSK)
-        res = simplified_ml(y, eq.h_eq, QPSK, switch_mode=mode)
+        ref = get_decoder("bruteforce")(y, eq.h_eq, QPSK)
+        res = get_decoder(SIMPLIFIED[mode])(y, eq.h_eq, QPSK)
         assert abs(res.metric - ref.metric) <= 1e-9
         if not np.array_equal(res.symbols, ref.symbols):
             assert abs(res.metric - ref.metric) <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["none", "4by4", "2by2"])
+@pytest.mark.parametrize("mode", SIMPLIFIED)
 def test_simplified_16qam_matches_baseline(mode):
     rng = derive_rng(205)
     baseline = get_decoder("sd-baseline")
@@ -126,7 +127,7 @@ def test_simplified_16qam_matches_baseline(mode):
         snr = 8.0 + 12.0 * i / 39
         _, eq, y = random_instance(rng, QAM16, snr)
         ref = baseline(y, eq.h_eq, QAM16)
-        res = simplified_ml(y, eq.h_eq, QAM16, switch_mode=mode)
+        res = get_decoder(SIMPLIFIED[mode])(y, eq.h_eq, QAM16)
         assert abs(res.metric - ref.metric) <= 1e-9
 
 
@@ -137,7 +138,7 @@ def test_simplified_64qam_high_snr():
     for _ in range(3):
         _, eq, y = random_instance(rng, qam64, 28.0)
         ref = baseline(y, eq.h_eq, qam64)
-        res = simplified_ml(y, eq.h_eq, qam64, switch_mode="2by2")
+        res = get_decoder("simplified-cs2")(y, eq.h_eq, qam64)
         assert abs(res.metric - ref.metric) <= 1e-9
 
 
@@ -156,11 +157,11 @@ def test_simplified_refuses_original_ordering(scale):
         w = scale * sigma * rng.standard_normal(16)
         eq_new, eq_orig = make_equivalent(h, "new"), make_equivalent(h, "original")
         y = eq_new.h_eq @ st + w
-        res = simplified_ml(y, eq_new.h_eq, QPSK, switch_mode="2by2")
+        res = get_decoder("simplified-cs2")(y, eq_new.h_eq, QPSK)
         ref = baseline(y, eq_new.h_eq, QPSK)
         assert abs(res.metric - ref.metric) <= 1e-9 * ref.metric
         with pytest.raises(ValueError) as err:
-            simplified_ml(eq_orig.h_eq @ st + w, eq_orig.h_eq, QPSK)
+            get_decoder("simplified")(eq_orig.h_eq @ st + w, eq_orig.h_eq, QPSK)
         assert not isinstance(err.value, RankDeficiencyError)
 
 
@@ -186,9 +187,9 @@ def test_simplified_noiseless_single_leaf():
     # ZF-seeded tables make the first path exact; radius drops to zero and
     # no other leaf survives
     rng = derive_rng(207)
-    for mode in ("none", "2by2"):
+    for name in ("simplified", "simplified-cs2"):
         s, eq, y = random_instance(rng, QPSK, None)
-        res = simplified_ml(y, eq.h_eq, QPSK, switch_mode=mode)
+        res = get_decoder(name)(y, eq.h_eq, QPSK)
         assert np.array_equal(res.symbols, s)
         assert res.metric < 1e-18
         assert res.counters.leaves == 1
@@ -198,10 +199,7 @@ def test_switch_modes_agree_per_instance():
     rng = derive_rng(208)
     for i in range(40):
         _, eq, y = random_instance(rng, QAM16, 6.0 + i % 10)
-        metrics = [
-            simplified_ml(y, eq.h_eq, QAM16, switch_mode=mode).metric
-            for mode in ("none", "4by4", "2by2")
-        ]
+        metrics = [get_decoder(name)(y, eq.h_eq, QAM16).metric for name in SIMPLIFIED.values()]
         assert max(metrics) - min(metrics) <= 1e-9
 
 
@@ -231,9 +229,10 @@ def test_cross_branch_termination_is_transparent(monkeypatch):
 
     rng = derive_rng(209)
     instances = [random_instance(rng, QAM16, 4.0 + (i % 12)) for i in range(60)]
-    with_stop = [simplified_ml(y, eq.h_eq, QAM16, switch_mode="2by2") for _, eq, y in instances]
+    decode = get_decoder("simplified-cs2")
+    with_stop = [decode(y, eq.h_eq, QAM16) for _, eq, y in instances]
     monkeypatch.setattr("mimo3d.decoders.simplified.parallel_decisions", no_cross_stop)
-    without = [simplified_ml(y, eq.h_eq, QAM16, switch_mode="2by2") for _, eq, y in instances]
+    without = [decode(y, eq.h_eq, QAM16) for _, eq, y in instances]
     for on, off in zip(with_stop, without):
         assert np.array_equal(on.symbols, off.symbols)
         for k in range(4):
@@ -246,7 +245,7 @@ def test_cross_branch_termination_is_transparent(monkeypatch):
 def test_visited_nodes_aggregation():
     rng = derive_rng(210)
     _, eq, y = random_instance(rng, QPSK, 5.0)
-    res = simplified_ml(y, eq.h_eq, QPSK)
+    res = get_decoder("simplified")(y, eq.h_eq, QPSK)
     c = res.counters
     assert c.visited_nodes == c.tree_nodes + max(c.branch_nodes)
 
@@ -855,13 +854,9 @@ def test_level_functions_equal_the_loop(n, data):
         assert _CountingFloat.products == n - 1 - i
 
 
-# the public decoders called directly, next to the registry names
-DIRECT = {"ml_bruteforce": ml_bruteforce, "simplified_ml": simplified_ml}
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("arg", ["y_tilde", "h_eq"])
-@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_registry_refuses_non_finite_input(name, arg, bad):
     rng = derive_rng(226)
     _, eq, y = random_instance(rng, QPSK, 10.0)
@@ -870,7 +865,7 @@ def test_registry_refuses_non_finite_input(name, arg, bad):
         y[3] = bad
     else:
         h_eq[5, 2] = bad
-    decode = DIRECT.get(name) or get_decoder(name)
+    decode = get_decoder(name)
     with pytest.raises(ValueError, match=f"^{arg} contains NaN or inf") as info:
         decode(y, h_eq, QPSK)
     # not a RankDeficiencyError, which the sweep would swallow and resample
@@ -878,7 +873,7 @@ def test_registry_refuses_non_finite_input(name, arg, bad):
 
 
 @pytest.mark.parametrize("scale, only_y", [(1e-170, False), (1e155, False), (1e155, True)])
-@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_decoders_refuse_scales_outside_the_float_range(name, scale, only_y):
     # at 1e-170 the search distances lose their bits to subnormal rounding
     # (sd-baseline used to return other symbols), at 1e155 they overflow to
@@ -886,14 +881,14 @@ def test_decoders_refuse_scales_outside_the_float_range(name, scale, only_y):
     _, eq, y = random_instance(derive_rng(231), QAM16, 12.0)
     h_eq = eq.h_eq if only_y else eq.h_eq * scale
     arg = "h_eq" if scale < 1.0 else "y_tilde"
-    decode = DIRECT.get(name) or get_decoder(name)
+    decode = get_decoder(name)
     with pytest.raises(ValueError, match=f"^{arg} has largest magnitude") as info:
         decode(y * scale, h_eq, QAM16)
     assert not isinstance(info.value, RankDeficiencyError)
 
 
 @pytest.mark.parametrize("arg", ["y_tilde", "h_eq"])
-@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_decoders_refuse_complex_input(name, arg):
     # the right shape with a complex dtype: converting it to float would
     # drop the imaginary part, and decoders used to return a metric for it
@@ -903,7 +898,7 @@ def test_decoders_refuse_complex_input(name, arg):
         y = y + 0.5j
     else:
         h_eq = h_eq + 0.5j
-    decode = DIRECT.get(name) or get_decoder(name)
+    decode = get_decoder(name)
     with pytest.raises(ValueError, match=f"^{arg} has a complex dtype") as info:
         decode(y, h_eq, QPSK)
     assert not isinstance(info.value, RankDeficiencyError)
@@ -917,11 +912,11 @@ def test_decoders_refuse_complex_input(name, arg):
     pytest.param("y_tilde", (2, 8), id="y_tilde-2x8"),
     pytest.param("y_tilde", (1, 16), id="y_tilde-1x16"),
 ])
-@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(DIRECT))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_decoders_refuse_wrong_shapes(name, arg, n):
     # n is the column count of h_eq or the shape of y_tilde
     _, eq, y = random_instance(derive_rng(230), QPSK, 10.0)
-    decode = DIRECT.get(name) or get_decoder(name)
+    decode = get_decoder(name)
     # a column vector is the same input, raveled
     ref = decode(y, eq.h_eq, QPSK)
     assert np.array_equal(decode(y.reshape(16, 1), eq.h_eq, QPSK).symbols, ref.symbols)
@@ -933,15 +928,40 @@ def test_decoders_refuse_wrong_shapes(name, arg, n):
     assert not isinstance(info.value, RankDeficiencyError)
 
 
-def test_simplified_refuses_unknown_switch_mode():
-    # refused at the top of the decode, before the zero-forcing solve would
-    # meet the exactly singular h_eq
-    _, eq, y = random_instance(derive_rng(227), QPSK, 10.0)
-    singular = eq.h_eq.copy()
-    singular[:, 2] = 0.0
-    for h_eq in (eq.h_eq, singular):
-        with pytest.raises(ValueError, match="unknown switch mode '8by8'"):
-            simplified_ml(y, h_eq, QPSK, switch_mode="8by8")
+# right shapes for each array argument, and wrong values of every kind for
+# the constellation (an order, a name, the PAM set, the points)
+GOOD_SHAPES = {"y_tilde": ((16,), (16, 1)), "h_eq": ((16, 16),)}
+BAD_CONSTELLATIONS = (16, 4.0, None, "16qam", QPSK.pam, QPSK.points)
+
+
+@st.composite
+def misuse(draw):
+    """A QPSK decode input with one wrong argument: its name and the input."""
+    _, eq, y = random_instance(derive_rng(235), QPSK, 10.0)
+    args = {"y_tilde": y, "h_eq": eq.h_eq, "constellation": QPSK}
+    arg = draw(st.sampled_from(sorted(args)))
+    if arg == "constellation":
+        args[arg] = draw(st.sampled_from(BAD_CONSTELLATIONS))
+    elif draw(st.booleans()):
+        args[arg] = args[arg].astype(draw(st.sampled_from((bool, str, bytes, object, complex))))
+    else:
+        shape = draw(st.lists(st.integers(0, 17), max_size=3).map(tuple)
+                     .filter(lambda shape: shape not in GOOD_SHAPES[arg]))
+        args[arg] = np.resize(args[arg], shape)
+    return arg, args
+
+
+@settings(max_examples=60)
+@given(misuse())
+def test_registry_refuses_wrong_dtypes_shapes_and_constellations(case):
+    # a bool or object y_tilde used to decode, a str one to fail in NumPy,
+    # and a constellation that is not one to raise AttributeError
+    arg, args = case
+    error = TypeError if arg == "constellation" else ValueError
+    for name in REGISTRY:
+        with pytest.raises(error, match=f"^{arg} ") as info:
+            get_decoder(name)(args["y_tilde"], args["h_eq"], args["constellation"])
+        assert not isinstance(info.value, RankDeficiencyError)
 
 
 # (constellation order, SNR in dB).  16-QAM is drawn only at high SNR: at
@@ -953,8 +973,7 @@ METRIC_POINTS = ((4, -10.0), (4, 0.0), (4, 30.0), (4, 60.0), (16, 30.0), (16, 60
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-60, 60), point=st.sampled_from(METRIC_POINTS))
 def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point):
     # every search decoder reaches sd-baseline's registry metric (and brute
-    # force's at QPSK) on channels scaled by 2^k, and the bare two-stage
-    # search distance equals it up to rounding
+    # force's at QPSK) on channels scaled by 2^k
     m, snr_db = point
     qam = build_qam(m)
     rng = derive_rng(seed)
@@ -965,7 +984,6 @@ def test_search_decoders_reach_the_ml_metric_at_any_scale_and_snr(seed, k, point
     y = h_eq @ s_tilde + noise
     names = SEARCH_DECODERS + (("bruteforce",) if m == 4 else ())
     metrics = {name: get_decoder(name)(y, h_eq, qam).metric for name in names}
-    metrics["simplified_ml"] = simplified_ml(y, h_eq, qam, switch_mode="2by2").metric
     ref = metrics["sd-baseline"]
     for name, metric in metrics.items():
         assert abs(metric - ref) <= 1e-9 * ref, (name, metrics)
@@ -1019,10 +1037,13 @@ def test_search_decoders_are_certified_ml(m, seed, k, data):
         assert_certified_ml(y, h_eq, qam, get_decoder(name)(y, h_eq, qam))
 
 
-@pytest.mark.parametrize("name, garbage", [
-    ("sd-baseline", 37), ("simplified", 58), ("simplified-cs4", 58), ("simplified-cs2", 58),
-])
-def test_per_decode_cyclic_garbage(name, garbage):
+# objects one decode leaves to the cyclic GC, by decoder; a test parameter,
+# not part of the test id, so that an intended change renames no test
+GARBAGE = {"sd-baseline": 37, "simplified": 58, "simplified-cs4": 58, "simplified-cs2": 58}
+
+
+@pytest.mark.parametrize("name", GARBAGE)
+def test_per_decode_cyclic_garbage(name):
     """Pins how many gc-tracked objects one decode leaves in generation 0.
 
     The search's recursive closure is a reference cycle, so what it holds is
@@ -1048,20 +1069,21 @@ def test_per_decode_cyclic_garbage(name, garbage):
         finally:
             if was_enabled:
                 gc.enable()
-        assert left == garbage, (m, left)
+        assert left == GARBAGE[name], (m, left)
         del result  # so the next measurement does not see it freed
 
 
 def test_registry_switch_resolution():
-    # the registry name is the only way to pick a switch mode
+    # the registry name is the only way to pick a switch mode: each entry
+    # returns its search core's decided vector and counters
     rng = derive_rng(222)
     _, eq, y = random_instance(rng, QAM16, 10.0)
-    for name, mode in (("simplified", "none"), ("simplified-cs4", "4by4"),
-                       ("simplified-cs2", "2by2")):
+    for mode, name in SIMPLIFIED.items():
         via_name = get_decoder(name)(y, eq.h_eq, QAM16)
-        direct = simplified_ml(y, eq.h_eq, QAM16, switch_mode=mode)
-        assert np.array_equal(via_name.symbols, direct.symbols)
-        assert via_name.counters == direct.counters
+        counters = OpCounters()
+        decided = simplified_ml(y, eq.h_eq, QAM16, mode, counters)
+        assert np.array_equal(tilde_interleave(via_name.symbols), decided)
+        assert via_name.counters == counters
     with pytest.raises(TypeError):
         get_decoder("simplified", "2by2")
 
@@ -1081,13 +1103,17 @@ def test_baseline_visited_nodes_far_below_worst_case():
 
 
 def test_sd_baseline_core_signature():
-    # the core works on (z, R) directly; metric is the rotated-domain residual
+    # the core works on (z, R) directly and returns the decided interleaved
+    # vector; the registry entry adds the QR's charge and the metric
     rng = derive_rng(223)
-    s, eq, y = random_instance(rng, QPSK, 15.0)
+    _, eq, y = random_instance(rng, QPSK, 15.0)
     r, z = gram_schmidt_qr(eq.h_eq, y)
-    res = sd_baseline(z, r, QPSK, OpCounters())
-    direct = np.sum((y - eq.h_eq @ tilde_interleave(res.symbols)) ** 2)
-    assert abs(res.metric - direct) < 1e-9
+    counters = OpCounters()
+    charge_rotation(counters)
+    decided = sd_baseline(z, r, QPSK, counters)
+    res = get_decoder("sd-baseline")(y, eq.h_eq, QPSK)
+    assert np.array_equal(tilde_interleave(res.symbols), decided)
+    assert res.counters == counters
 
 
 @pytest.mark.parametrize("name", SEARCH_DECODERS)

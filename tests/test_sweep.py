@@ -69,6 +69,12 @@ def test_config_validation(bad):
         small_config(**bad).validate()
 
 
+def test_config_refuses_a_bare_decoder_name():
+    # iterated as names, the string used to be refused as decoder 's'
+    with pytest.raises(ValueError, match="^decoders must be a sequence"):
+        small_config(decoders="sd-baseline").validate()
+
+
 def test_rows_in_decoder_then_snr_order():
     rows, resamples = run_sweep(small_config(trials=5))
     assert resamples == 0
@@ -359,6 +365,10 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     (["summarize", "--in", "no-trials.csv"], "line 1: the header has no column 'trials'"),
     (["summarize", "--in", "short-row.csv"], "line 2: no value in column 'symbol_errors'"),
     (["summarize", "--in", "long-row.csv"], "line 2: more values than columns"),
+    # no finite, positive noise variance: these used to die with a traceback
+    # on OverflowError and ZeroDivisionError
+    (SWEEP_ARGV + ["--snr-stop", "4000"], "snr_stop 4000 dB"),
+    (SWEEP_ARGV + ["--snr-start", "-4000"], "snr_start -4000 dB"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
