@@ -6,7 +6,6 @@ import argparse
 import os
 import sys
 
-from .code import VARIANTS
 from .sweep import (
     MODULATIONS,
     SweepConfig,
@@ -45,7 +44,6 @@ def _add_sweep_parser(sub):
     p.add_argument("--decoders", required=True,
                    help="comma-separated registry names, e.g. sd-baseline,simplified-cs2")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="new")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     return p
@@ -94,7 +92,6 @@ def main(argv=None):
                 trials=args.trials,
                 decoders=tuple(name.strip() for name in args.decoders.split(",") if name.strip()),
                 seed=args.seed,
-                variant=args.variant,
                 workers=args.workers,
             )
             config.validate()

@@ -52,11 +52,6 @@ def _golden_block(u1, u2, u3, u4):
     )
 
 
-def _check_variant(variant):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown codeword variant {variant!r}; expected one of {VARIANTS}")
-
-
 def encode_direct(s, variant="new"):
     """Encode 8 complex symbols into the 4x4 codeword matrix.
 
@@ -64,7 +59,8 @@ def encode_direct(s, variant="new"):
     1/sqrt(5) Golden-code scaling; with unit-energy symbols every codeword
     entry has unit average energy.
     """
-    _check_variant(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown codeword variant {variant!r}; expected one of {VARIANTS}")
     s = np.asarray(s, dtype=complex).ravel()
     if s.size != N_SYMBOLS:
         raise ValueError(f"expected {N_SYMBOLS} symbols, got {s.size}")
@@ -91,9 +87,9 @@ def build_generator(variant="new"):
     response to ``s_j = i`` (both interleaved re/im), i.e. the columns are
     the weight matrices of the real and imaginary part of each symbol.  The
     matrix is derived by encoding basis vectors rather than transcribed by
-    hand.  Cached and returned read-only.
+    hand (:func:`encode_direct` refuses an unknown variant).  Cached and
+    returned read-only.
     """
-    _check_variant(variant)
     cols = []
     basis = np.zeros(N_SYMBOLS, dtype=complex)
     for j in range(N_SYMBOLS):

@@ -27,10 +27,7 @@ def _candidates(order):
     idx = np.arange(order**8)
     digits = (idx[:, None] // order ** np.arange(7, -1, -1)[None, :]) % order
     pts = const.points[digits]
-    real = np.empty((idx.size, 16))
-    real[:, 0::2] = pts.real
-    real[:, 1::2] = pts.imag
-    return pts, real
+    return pts, pts.view(float)  # complex128 memory is the interleaved layout
 
 
 def ml_bruteforce(y_tilde, h_eq, constellation):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modem import QamConstellation
+from .modem import build_qam
 
 # An R diagonal entry below this fraction of the largest one is treated as
 # rank deficiency.  The rule is relative, so it holds at any channel scale;
@@ -69,11 +69,7 @@ def check_expand_matrix(m):
 
 def tilde_interleave(v):
     """Interleave real and imaginary parts: [x1, .., xn] -> [x1_re, x1_im, ..]."""
-    v = np.asarray(v, dtype=complex).ravel()
-    out = np.empty(2 * v.size)
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
+    return np.array(v, dtype=complex).ravel().view(float)
 
 
 def complex_from_interleaved(v):
@@ -153,11 +149,11 @@ def require_full_rank(diag):
 def require_decodable(y_tilde, h_eq, constellation):
     """Check one decode's input and return it as float arrays ``(y, h_eq)``,
     ``y`` ravelled: the only conversion a decode makes.  Raises
-    :class:`TypeError` unless ``constellation`` is a
-    :class:`~mimo3d.modem.QamConstellation`, before any of its attributes
-    is read, and :class:`ValueError` naming the argument that has the wrong
-    shape, a dtype other than real float or integer, a NaN or inf, or a
-    scale the decoders cannot run on.
+    :class:`TypeError` unless ``constellation`` is the object
+    :func:`~mimo3d.modem.build_qam` returns for its order, not a copy or a
+    forgery, and :class:`ValueError` naming the argument that is ragged, has
+    the wrong shape, a dtype other than real float or integer, a NaN or inf,
+    or a scale the decoders cannot run on.
 
     ``h_eq`` must be 16x16 and ``y_tilde`` of shape (16,) or (16, 1): any
     other layout of 16 entries, such as a 4x4 block of real and imaginary
@@ -171,10 +167,18 @@ def require_decodable(y_tilde, h_eq, constellation):
     ``max|h_eq|`` must lie within ``[2^-256, 2^256]`` and ``max|y_tilde|``
     be at most ``2^256``.  Not a :class:`RankDeficiencyError`, which the
     sweep would swallow and resample."""
-    if not isinstance(constellation, QamConstellation):
-        raise TypeError(f"constellation is a {type(constellation).__name__}; the decoders "
-                        "need a QamConstellation (build_qam)")
-    y_tilde, h_eq = np.asarray(y_tilde), np.asarray(h_eq)
+    try:
+        forged = constellation is not build_qam(constellation.order)
+    except (AttributeError, TypeError, ValueError):  # no order, or not a supported one
+        forged = True
+    if forged:
+        raise TypeError(f"constellation must be build_qam(M)'s own, not {constellation!r:.40}")
+    try:
+        y_tilde = np.asarray(y_tilde)
+        h_eq = np.asarray(h_eq)
+    except ValueError as err:  # a ragged nesting, such as [[1.0] * 16, [2.0]]
+        name = "h_eq" if isinstance(y_tilde, np.ndarray) else "y_tilde"
+        raise ValueError(f"{name} is not a rectangular array: {err}") from None
     if h_eq.shape != (16, 16):
         raise ValueError(f"h_eq has shape {h_eq.shape}; the decoders need 16x16")
     if y_tilde.shape not in ((16,), (16, 1)):

@@ -21,6 +21,7 @@ levels at exactly equal distance from it are ordered smaller first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,13 +70,15 @@ def _se_orders(level_tuple):
     )
 
 
+@functools.cache
 def build_qam(m):
     """Build a unit-energy square M-QAM constellation, M in {4, 16, 64}.
 
     PAM levels are the odd integers {+-1, +-3, ...} scaled by
     ``1 / sqrt(2 (M - 1) / 3)``, which makes the mean of |point|^2 exactly 1.
     Point k is ``levels[k // n] + 1j * levels[k % n]`` with ``n = sqrt(M)``.
-    The PAM set carries its spacing and its S-E order tables.
+    The PAM set carries its spacing and its S-E order tables.  Built once
+    per order and shared, with read-only ``points``.
     """
     if m not in MODULATIONS.values():
         raise ValueError(f"unsupported constellation order {m}; expected one of {tuple(MODULATIONS.values())}")
@@ -89,6 +92,7 @@ def build_qam(m):
         se_orders=_se_orders(level_tuple),
     )
     points = np.array([a + 1j * b for a in level_tuple for b in level_tuple])
+    points.flags.writeable = False
     return QamConstellation(order=m, points=points, pam=pam)
 
 

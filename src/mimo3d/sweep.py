@@ -1,9 +1,9 @@
 """Monte-Carlo SNR sweep: decoders side by side on identical instances.
 
 Every trial derives its own random stream from ``(seed, trial, attempt)``,
-draws symbols, one quasi-static channel realization and one unit-variance
-noise block, and reuses them across the whole SNR grid (noise scaled per
-point).  All configured decoders therefore see exactly the same
+draws symbols (sent in the "new" ordering), one quasi-static channel and
+one unit-variance noise block, and reuses them across the whole SNR grid
+(noise scaled per point).  All configured decoders therefore see exactly the same
 ``(symbols, channel, noise)`` per trial, results are independent of worker
 scheduling, and identical configs produce byte-identical CSV output.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import numbers
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -28,7 +29,7 @@ from .code import VARIANTS, encode_direct
 from .decoders import get_decoder, verify_r_structure
 from .decoders.bruteforce import MAX_ORDER
 from .decoders.structure import ORIGINAL_BREAKS, REL_TOL
-from .linalg import RankDeficiencyError, tilde_interleave, vec_stack
+from .linalg import MAX_SCALE, RankDeficiencyError, tilde_interleave, vec_stack
 from .modem import MODULATIONS, build_qam
 
 MAX_ATTEMPTS = 64
@@ -51,15 +52,17 @@ class SweepConfig:
     trials: int = 1000
     decoders: tuple = ("sd-baseline", "simplified-cs2")
     seed: int = 0
-    variant: str = "new"
     workers: int = 1
 
     def validate(self):
-        if self.modulation not in MODULATIONS:
+        if not isinstance(self.modulation, str) or self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
-        if not all(math.isfinite(x) for x in (self.snr_start, self.snr_stop, self.snr_step)):
+        for name in ("snr_start", "snr_stop", "snr_step"):
+            value = getattr(self, name)
             # a NaN or inf bound or step would make snr_points loop forever
-            raise ValueError("snr_start, snr_stop and snr_step must be finite")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.snr_step <= 0:
             raise ValueError("snr_step must be positive")
         if self.snr_stop < self.snr_start:
@@ -70,26 +73,24 @@ class SweepConfig:
                 sigma2 = snr_to_sigma2(snr, constellation)
             except (OverflowError, ZeroDivisionError):  # 10^(snr/10) past the float range
                 sigma2 = 0.0
-            if not 0.0 < sigma2 < math.inf:
-                raise ValueError(f"{name} {snr:g} dB gives no finite, positive noise variance")
+            # a standard normal draw exceeds 64 with probability below 1e-800, so noise
+            # of standard deviation up to MAX_SCALE / 64 keeps y_tilde within the
+            # decoders' input bound: an SNR above about -1 502 dB
+            if not 0.0 < sigma2 <= (MAX_SCALE / 64) ** 2:
+                raise ValueError(f"{name} {float(snr):g} dB gives a noise variance outside "
+                                 "(0, 2^500], which the decoders cannot run")
         check_trials_and_seed(self.trials, self.seed)
-        if isinstance(self.decoders, str):
-            raise ValueError(f"decoders must be a sequence of registry names, not {self.decoders!r}")
-        if not self.decoders:
-            raise ValueError("need at least one decoder")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if (not isinstance(self.decoders, (tuple, list)) or not self.decoders
+                or not all(isinstance(name, str) for name in self.decoders)):
+            # a set would order the rows by string hash, differently each run
+            raise ValueError("decoders must be a sequence of one or more registry names, "
+                             f"not {self.decoders!r}")
         check_integer("workers", self.workers, 1)
         for name in self.decoders:
             try:
                 get_decoder(name)
             except KeyError as err:
                 raise ValueError(str(err)) from None
-            if self.variant == "original" and name.startswith("simplified"):
-                # the two-stage decoder needs the R zero structure of the
-                # "new" ordering and refuses any other; say so before the
-                # first trial runs
-                raise ValueError(f"decoder {name!r} requires variant 'new'")
         if MODULATIONS[self.modulation] > MAX_ORDER and "bruteforce" in self.decoders:
             raise ValueError(f"bruteforce decoder is limited to M <= {MAX_ORDER}")
 
@@ -142,8 +143,8 @@ def _run_block(config, t_start, t_stop):
             h = sample_channel(rng)
             w_unit = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             try:
-                eq = make_equivalent(h, config.variant)
-                x = encode_direct(s_true, config.variant)
+                eq = make_equivalent(h)
+                x = encode_direct(s_true)
                 outcomes = []
                 for snr_i, sigma in enumerate(sigmas):
                     y_tilde = tilde_interleave(vec_stack(h @ x + sigma * w_unit))

@@ -1,4 +1,5 @@
 import contextvars
+import copy
 import gc
 import math
 import struct
@@ -35,7 +36,7 @@ from mimo3d.decoders.simplified import (
 from mimo3d.decoders.sphere import level_functions, sd_baseline, tree_search
 from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, gram_cross, two_stage_zeros
 from mimo3d.linalg import MAX_SCALE, RankDeficiencyError, gram_schmidt_qr, tilde_interleave
-from mimo3d.modem import se_order
+from mimo3d.modem import QamConstellation, se_order
 
 QPSK = build_qam(4)
 QAM16 = build_qam(16)
@@ -929,9 +930,14 @@ def test_decoders_refuse_wrong_shapes(name, arg, n):
 
 
 # right shapes for each array argument, and wrong values of every kind for
-# the constellation (an order, a name, the PAM set, the points)
+# the constellation: an order, a name, the PAM set, the points, and forged
+# ones (16-QAM points on the QPSK PAM set, which used to decode to QPSK
+# points, an order build_qam does not make, a copy of QPSK)
 GOOD_SHAPES = {"y_tilde": ((16,), (16, 1)), "h_eq": ((16, 16),)}
-BAD_CONSTELLATIONS = (16, 4.0, None, "16qam", QPSK.pam, QPSK.points)
+BAD_CONSTELLATIONS = (16, 4.0, None, "16qam", QPSK.pam, QPSK.points,
+                      QamConstellation(order=16, points=QAM16.points, pam=QPSK.pam),
+                      QamConstellation(order=32, points=QAM16.points, pam=QAM16.pam),
+                      copy.copy(QPSK))
 
 
 @st.composite
@@ -940,22 +946,26 @@ def misuse(draw):
     _, eq, y = random_instance(derive_rng(235), QPSK, 10.0)
     args = {"y_tilde": y, "h_eq": eq.h_eq, "constellation": QPSK}
     arg = draw(st.sampled_from(sorted(args)))
+    kind = draw(st.sampled_from(("dtype", "shape", "ragged")))
     if arg == "constellation":
         args[arg] = draw(st.sampled_from(BAD_CONSTELLATIONS))
-    elif draw(st.booleans()):
+    elif kind == "dtype":
         args[arg] = args[arg].astype(draw(st.sampled_from((bool, str, bytes, object, complex))))
-    else:
+    elif kind == "shape":
         shape = draw(st.lists(st.integers(0, 17), max_size=3).map(tuple)
                      .filter(lambda shape: shape not in GOOD_SHAPES[arg]))
         args[arg] = np.resize(args[arg], shape)
+    else:  # nested lists, one entry a short row
+        args[arg] = args[arg].tolist() + [[1.0]]
     return arg, args
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(misuse())
 def test_registry_refuses_wrong_dtypes_shapes_and_constellations(case):
-    # a bool or object y_tilde used to decode, a str one to fail in NumPy,
-    # and a constellation that is not one to raise AttributeError
+    # a bool or object y_tilde used to decode, a str one to fail in NumPy, a
+    # ragged one to raise NumPy's own ValueError, a constellation that is not
+    # one to raise AttributeError, and a forged one to decode
     arg, args = case
     error = TypeError if arg == "constellation" else ValueError
     for name in REGISTRY:

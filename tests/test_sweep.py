@@ -1,9 +1,12 @@
 import math
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimo3d import cli
 from mimo3d.cli import main
@@ -36,34 +39,37 @@ def test_snr_points():
     assert SweepConfig(snr_start=5, snr_stop=5, snr_step=1).snr_points() == (5,)
 
 
-@pytest.mark.parametrize("bad", [
-    dict(modulation="8psk"),
-    dict(snr_step=0.0),
-    dict(snr_stop=-1.0),
-    dict(trials=0),
-    dict(decoders=("warp-drive",)),
-    dict(decoders=()),
-    dict(variant="original", decoders=("simplified",)),
-    dict(variant="original", decoders=("sd-baseline", "simplified-cs2")),
-    dict(modulation="16qam", decoders=("bruteforce",)),
-    dict(workers=0),
-    dict(seed=-1),
-    dict(decoders=("simplified-cs8",)),
+BAD_CONFIGS = {
+    "unknown-modulation": dict(modulation="8psk"),
+    "zero-step": dict(snr_step=0.0),
+    "stop-below-start": dict(snr_stop=-1.0),
+    "no-trials": dict(trials=0),
+    "unknown-decoder": dict(decoders=("warp-drive",)),
+    "no-decoders": dict(decoders=()),
+    "bruteforce-16qam": dict(modulation="16qam", decoders=("bruteforce",)),
+    "no-workers": dict(workers=0),
+    "negative-seed": dict(seed=-1),
+    "unknown-switch": dict(decoders=("simplified-cs8",)),
     # a non-finite bound or step would make snr_points loop forever
-    dict(snr_step=math.nan),
-    dict(snr_stop=math.inf),
-    dict(snr_start=math.nan),
-    dict(snr_start=-math.inf),
-    dict(snr_step=math.inf),
+    "nan-step": dict(snr_step=math.nan),
+    "inf-stop": dict(snr_stop=math.inf),
+    "nan-start": dict(snr_start=math.nan),
+    "minus-inf-start": dict(snr_start=-math.inf),
+    "inf-step": dict(snr_step=math.inf),
     # not integers: seed=1.5 used to give the rows of seed=1, trials=10.5 to
     # fail inside range() and trials=True to run one trial
-    dict(trials=10.5),
-    dict(trials=True),
-    dict(seed=1.5),
-    dict(seed=True),
-    dict(workers=1.5),
-    dict(workers=True),
-])
+    "fractional-trials": dict(trials=10.5),
+    "bool-trials": dict(trials=True),
+    "fractional-seed": dict(seed=1.5),
+    "bool-seed": dict(seed=True),
+    "fractional-workers": dict(workers=1.5),
+    "bool-workers": dict(workers=True),
+    # noise past the decoders' input scale: used to fail mid-sweep
+    "noise-past-input-scale": dict(snr_start=-2000.0),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         small_config(**bad).validate()
@@ -73,6 +79,42 @@ def test_config_refuses_a_bare_decoder_name():
     # iterated as names, the string used to be refused as decoder 's'
     with pytest.raises(ValueError, match="^decoders must be a sequence"):
         small_config(decoders="sd-baseline").validate()
+
+
+# wrong-typed values every field refuses, and more for each field
+WRONG_TYPES = (None, True, 1j, b"1", [1], object())
+FIELD_WRONG_TYPES = {
+    "modulation": (16, 4.0),
+    "snr_start": ("0",),
+    "snr_stop": ("20",),
+    "snr_step": ("2",),
+    "trials": (10.0, "10"),
+    "decoders": ("sd-baseline", ("sd-baseline", 5), {"sd-baseline"}),
+    "seed": (1.0, "1"),
+    "workers": (1.0, "1"),
+}
+
+
+@st.composite
+def wrong_field(draw):
+    """A field name and a wrong-typed value for it."""
+    field = draw(st.sampled_from(sorted(FIELD_WRONG_TYPES)))
+    return field, draw(st.sampled_from(WRONG_TYPES + FIELD_WRONG_TYPES[field]))
+
+
+@settings(max_examples=100)
+@given(case=wrong_field(), structure=st.booleans())
+def test_sweep_entry_points_refuse_wrong_types(case, structure):
+    # snr_step=None used to raise "must be real number, not NoneType" and
+    # decoders=5 "'int' object is not iterable"; neither named the field
+    field, value = case
+    with (mock.patch("mimo3d.sweep._run_block", side_effect=AssertionError("sweep ran")),
+          mock.patch("mimo3d.sweep.sample_channel", side_effect=AssertionError("check ran")),
+          pytest.raises((ValueError, TypeError), match=field)):
+        if structure and field in ("trials", "seed"):
+            structure_sweep(**{"trials": 3, "seed": 1, field: value})
+        else:
+            run_sweep(SweepConfig(**{field: value}))
 
 
 def test_rows_in_decoder_then_snr_order():
@@ -233,13 +275,6 @@ def test_resample_count_does_not_depend_on_workers():
     assert rows_1 == rows_3
 
 
-def test_variant_original_with_structure_free_decoders():
-    cfg = small_config(variant="original", decoders=("sd-baseline",), trials=10,
-                       snr_start=10.0, snr_stop=10.0)
-    rows, _ = run_sweep(cfg)
-    assert rows[0].ser < 0.5
-
-
 GOLDEN_ROWS = [
     SweepRow("sd-baseline", 0.0, 1000, 2741, 0.3426, 0.981, 987.62, 11507.3, 793.81, 0.0104),
     SweepRow("sd-baseline", 2.0, 1000, 2214, 0.2768, 0.842, 612.56, 8752.0, 612.18, 0.0099),
@@ -334,16 +369,18 @@ def test_cli_sweep_and_summarize(tmp_path, capsys):
 
 
 def test_cli_rejects_switch_flag(tmp_path, capsys):
-    # the switch mode is part of the decoder name, e.g. simplified-cs2
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
-            "--trials", "1", "--decoders", "simplified", "--seed", "3",
-            "--switch", "2by2", "--out", str(tmp_path / "cli.csv"),
-        ])
-    assert exc.value.code == 2
-    assert "--switch" in capsys.readouterr().err
-    assert not (tmp_path / "cli.csv").exists()
+    # the switch mode is part of the decoder name, e.g. simplified-cs2, and
+    # every sweep runs the "new" ordering
+    for flag, value in (("--switch", "2by2"), ("--variant", "original")):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
+                "--trials", "1", "--decoders", "simplified", "--seed", "3",
+                flag, value, "--out", str(tmp_path / "cli.csv"),
+            ])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "cli.csv").exists()
 
 
 # argparse keeps the last value of a repeated option, so a case appends its own
@@ -369,6 +406,8 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     # on OverflowError and ZeroDivisionError
     (SWEEP_ARGV + ["--snr-stop", "4000"], "snr_stop 4000 dB"),
     (SWEEP_ARGV + ["--snr-start", "-4000"], "snr_start -4000 dB"),
+    # noise past the decoders' input scale: used to fail mid-sweep
+    (SWEEP_ARGV + ["--snr-start", "-2000"], "snr_start -2000 dB"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
