@@ -5,11 +5,11 @@ DecodeResult`` that perform their own counted preprocessing (QR, rotation,
 linear estimation), so operation counts are comparable across decoders.
 Each checks and converts its input once, runs its search core and builds
 its result.  The input check (:func:`~mimo3d.linalg.require_decodable`)
-refuses, naming the argument, a ``constellation`` that
-:func:`~mimo3d.modem.build_qam` did not return (:class:`TypeError`) and a
-ragged array, a wrong shape or dtype, a NaN, inf or out-of-range scale in
-``y_tilde`` or ``h_eq`` (:class:`ValueError`).  The reported metric is ``||y - H_eq s||^2``
-for the returned symbols (uncharged; see :mod:`mimo3d.counters`): brute
+refuses, naming the argument, a ``constellation`` that ``build_qam``
+did not return (:class:`TypeError`) and a ragged array, a wrong shape or
+dtype, a NaN, inf or out-of-range scale in ``y_tilde`` or ``h_eq``
+(:class:`ValueError`).  The reported metric is ``||y - H_eq s||^2`` for
+the returned symbols (uncharged; see :mod:`mimo3d.counters`): brute
 force computes it over every candidate, and :func:`_result` builds both
 tree decoders' results with it.
 

@@ -3,9 +3,9 @@
 Every trial derives its own random stream from ``(seed, trial, attempt)``,
 draws symbols (sent in the "new" ordering), one quasi-static channel and
 one unit-variance noise block, and reuses them across the whole SNR grid
-(noise scaled per point).  All configured decoders therefore see exactly the same
-``(symbols, channel, noise)`` per trial, results are independent of worker
-scheduling, and identical configs produce byte-identical CSV output.
+(noise scaled per point).  All configured decoders therefore see exactly
+the same ``(symbols, channel, noise)`` per trial, results are independent
+of worker scheduling, and identical configs produce byte-identical CSV.
 
 A decoder raising :class:`~mimo3d.linalg.RankDeficiencyError` aborts the
 trial; the trial is redrawn with the next attempt index and the event is
