@@ -87,6 +87,8 @@ def make_equivalent(h, variant="new"):
     is computed on first use; the decoders factor ``h_eq`` themselves, so a
     caller that only hands ``h_eq`` to a decoder never pays for it.
     """
+    if np.shape(h) != (N_RX, 4):
+        raise ValueError(f"h has shape {np.shape(h)}; the equivalent channel needs 2x4")
     g = build_generator(variant)
     h_eq = (check_expand_matrix(h) @ g.reshape(BLOCK_LEN, -1, g.shape[1])).reshape(16, 16)
     return EquivalentChannel(h_eq=h_eq)

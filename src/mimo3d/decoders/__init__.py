@@ -3,15 +3,16 @@
 Registry entries are callables ``fn(y_tilde, h_eq, constellation) ->
 DecodeResult`` that perform their own counted preprocessing (QR, rotation,
 linear estimation), so operation counts are comparable across decoders.
-Each checks and converts its input once, runs its search core and builds
-its result.  The input check (:func:`~mimo3d.linalg.require_decodable`)
-refuses, naming the argument, a ``constellation`` that ``build_qam``
-did not return (:class:`TypeError`) and a ragged array, a wrong shape or
-dtype, a NaN, inf or out-of-range scale in ``y_tilde`` or ``h_eq``
-(:class:`ValueError`).  The reported metric is ``||y - H_eq s||^2`` for
-the returned symbols (uncharged; see :mod:`mimo3d.counters`): brute
-force computes it over every candidate, and :func:`_result` builds both
-tree decoders' results with it.
+One builder, :func:`_entry`, makes every entry around a search core
+``core(y, h_eq, constellation, counters)`` that returns the decided
+interleaved 16-vector in canonical order: the entry checks and converts
+its input once, creates the counters, runs the core and builds the result,
+with the metric ``||y - H_eq s||^2`` of the returned symbols computed in
+that one place (uncharged; see :mod:`mimo3d.counters`).  The input check
+(:func:`~mimo3d.linalg.require_decodable`) refuses, naming the argument, a
+``constellation`` that ``build_qam`` did not return (:class:`TypeError`)
+and a ragged array, a wrong shape or dtype, a NaN, inf or out-of-range
+scale in ``y_tilde`` or ``h_eq`` (:class:`ValueError`).
 
 Each decode runs its guards once, at the entry: that input check, the rank
 rule in :func:`~mimo3d.linalg.gram_schmidt_qr` and, for the two-stage
@@ -37,10 +38,13 @@ at call time: this module's ``simplified_ml``, ``sd_baseline`` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from ..counters import OpCounters, charge_rotation
 from ..linalg import complex_from_interleaved, gram_schmidt_qr, require_decodable
 from .bruteforce import ml_bruteforce
-from .result import DecodeResult
 # simplified_ml and sd_baseline are the search cores of the registry entries,
 # looked up here at decode time, not exported
 from .simplified import simplified_ml
@@ -50,38 +54,49 @@ from .structure import StructureReport, verify_r_structure
 __all__ = ["DecodeResult", "StructureReport", "get_decoder", "verify_r_structure"]
 
 
-def _result(decided, counters, y, h_eq):
-    # symbols is a fresh complex128 vector, so its float view is the
-    # decided interleaved vector, exactly
-    symbols = complex_from_interleaved(decided)
-    resid = y - h_eq @ symbols.view(float)
-    return DecodeResult(symbols=symbols, metric=float(resid @ resid), counters=counters)
+@dataclass
+class DecodeResult:
+    """Outcome of one codeword decode.
+
+    ``symbols`` are the eight decoded complex symbols in canonical order
+    (de-permuted if a column switch was applied) and are exact constellation
+    entries, so they compare bit-exact against transmitted symbols.
+    ``metric`` is the squared residual of the returned symbols in the
+    received-signal domain, ``||y - H_eq s||^2``.
+    """
+
+    symbols: np.ndarray
+    metric: float
+    counters: OpCounters
 
 
-def _decode_baseline(y_tilde, h_eq, constellation):
-    y, h_eq = require_decodable(y_tilde, h_eq, constellation)
-    counters = OpCounters()
-    r, z = gram_schmidt_qr(h_eq, y)
-    charge_rotation(counters)
-    return _result(sd_baseline(z, r, constellation, counters), counters, y, h_eq)
+def _entry(core):
+    """The registry entry that decodes with ``core``."""
 
-
-def _make_simplified(mode):
     def decode(y_tilde, h_eq, constellation):
         y, h_eq = require_decodable(y_tilde, h_eq, constellation)
         counters = OpCounters()
-        return _result(simplified_ml(y, h_eq, constellation, mode, counters), counters, y, h_eq)
+        # symbols is a fresh complex128 vector, so its float view is the
+        # decided interleaved vector, exactly
+        symbols = complex_from_interleaved(core(y, h_eq, constellation, counters))
+        resid = y - h_eq @ symbols.view(float)
+        return DecodeResult(symbols=symbols, metric=float(resid @ resid), counters=counters)
 
-    decode.__name__ = f"decode_simplified_{mode}"
     return decode
 
 
+def _baseline(y, h_eq, constellation, counters):
+    r, z = gram_schmidt_qr(h_eq, y)
+    charge_rotation(counters)
+    return sd_baseline(z, r, constellation, counters)
+
+
 REGISTRY = {
-    "bruteforce": ml_bruteforce,
-    "sd-baseline": _decode_baseline,
-    "simplified": _make_simplified("none"),
-    "simplified-cs4": _make_simplified("4by4"),
-    "simplified-cs2": _make_simplified("2by2"),
+    "bruteforce": _entry(ml_bruteforce),
+    "sd-baseline": _entry(_baseline),
+    "simplified": _entry(lambda y, h, c, counters: simplified_ml(y, h, c, "none", counters)),
+    "simplified-cs4": _entry(lambda y, h, c, counters: simplified_ml(y, h, c, "4by4", counters)),
+    "simplified-cs2": _entry(lambda y, h, c, counters: simplified_ml(y, h, c, "2by2", counters)),
 }
 
 

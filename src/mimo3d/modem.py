@@ -70,7 +70,7 @@ def _se_orders(level_tuple):
     )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # so 16.0 never hits np.int64(16)'s entry
 def build_qam(m):
     """Build a unit-energy square M-QAM constellation, M in {4, 16, 64}.
 
@@ -78,8 +78,13 @@ def build_qam(m):
     ``1 / sqrt(2 (M - 1) / 3)``, which makes the mean of |point|^2 exactly 1.
     Point k is ``levels[k // n] + 1j * levels[k % n]`` with ``n = sqrt(M)``.
     The PAM set carries its spacing and its S-E order tables.  Built once
-    per order and shared, with read-only ``points``.
+    per order and shared, with read-only ``points``; a NumPy integer order
+    gets the equal ``int``'s object, and a float or bool one a ValueError.
     """
+    if type(m) is not int:  # runs once per order and type; an int call is a bare cache hit
+        if isinstance(m, np.integer):
+            return build_qam(int(m))
+        raise ValueError(f"constellation order must be an integer, not {m!r}")
     if m not in MODULATIONS.values():
         raise ValueError(f"unsupported constellation order {m}; expected one of {tuple(MODULATIONS.values())}")
     n = math.isqrt(m)

@@ -33,6 +33,8 @@ from .linalg import MAX_SCALE, RankDeficiencyError, tilde_interleave, vec_stack
 from .modem import MODULATIONS, build_qam
 
 MAX_ATTEMPTS = 64
+MAX_SNR_POINTS = 1000  # the most SNR grid points a sweep runs
+SNR_TOL = 1e-9  # a grid point up to this far past snr_stop is still run
 
 
 def check_trials_and_seed(trials, seed):
@@ -79,6 +81,11 @@ class SweepConfig:
             if not 0.0 < sigma2 <= (MAX_SCALE / 64) ** 2:
                 raise ValueError(f"{name} {float(snr):g} dB gives a noise variance outside "
                                  "(0, 2^500], which the decoders cannot run")
+        # counted before snr_points builds the grid, which a tiny step grows without end
+        points = 1 + (self.snr_stop + SNR_TOL - self.snr_start) / self.snr_step
+        if not points < MAX_SNR_POINTS + 1:  # snr_points makes floor(points) of them
+            raise ValueError(f"snr_step {float(self.snr_step):g} gives {points:.4g} SNR "
+                             f"points; a sweep runs at most {MAX_SNR_POINTS}")
         check_trials_and_seed(self.trials, self.seed)
         if (not isinstance(self.decoders, (tuple, list)) or not self.decoders
                 or not all(isinstance(name, str) for name in self.decoders)):
@@ -86,11 +93,13 @@ class SweepConfig:
             raise ValueError("decoders must be a sequence of one or more registry names, "
                              f"not {self.decoders!r}")
         check_integer("workers", self.workers, 1)
-        for name in self.decoders:
+        for i, name in enumerate(self.decoders):
             try:
                 get_decoder(name)
             except KeyError as err:
                 raise ValueError(str(err)) from None
+            if name in self.decoders[:i]:  # it would run twice and write its rows twice
+                raise ValueError(f"decoders names {name!r} twice")
         if MODULATIONS[self.modulation] > MAX_ORDER and "bruteforce" in self.decoders:
             raise ValueError(f"bruteforce decoder is limited to M <= {MAX_ORDER}")
 
@@ -99,7 +108,7 @@ class SweepConfig:
         k = 0
         while True:
             snr = self.snr_start + k * self.snr_step
-            if snr > self.snr_stop + 1e-9:
+            if snr > self.snr_stop + SNR_TOL:
                 break
             points.append(snr)
             k += 1
@@ -186,9 +195,10 @@ def run_sweep(config):
         resamples = sum(n for _, n in parts)
 
     n_sym = 8 * trials
+    snrs = config.snr_points()
     rows = []
     for dec_i, name in enumerate(config.decoders):
-        for snr_i, snr in enumerate(config.snr_points()):
+        for snr_i, snr in enumerate(snrs):
             errors, cw_errors, visited, mults, divs = (int(t) for t in tallies[:, dec_i, snr_i])
             ser = errors / n_sym
             rows.append(SweepRow(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,10 @@ def test_make_equivalent_factors_lazily(monkeypatch):
 def test_equivalent_channel_shape(variant):
     eq = make_equivalent(sample_channel(derive_rng(109)), variant)
     assert eq.h_eq.shape == (16, 16)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 8), (4, 4), (1, 4), (2, 4, 1)], ids=str)
+def test_make_equivalent_refuses_wrong_shapes(shape):
+    # these used to fail inside NumPy's matmul, reshape or unpacking
+    with pytest.raises(ValueError, match=re.escape(f"h has shape {shape}")):
+        make_equivalent(np.ones(shape, complex))

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from mimo3d import build_qam, derive_rng, make_equivalent, sample_channel, snr_to_sigma2
 from mimo3d.counters import OpCounters, charge_rotation
+import mimo3d.decoders as decoders_module
 from mimo3d.decoders import REGISTRY, get_decoder, verify_r_structure
 import mimo3d.decoders.simplified as simplified_module
+from mimo3d.decoders.bruteforce import ml_bruteforce
 from mimo3d.decoders.simplified import (
     ALLOWED_ORDERS,
     cancel,
@@ -35,7 +37,13 @@ from mimo3d.decoders.simplified import (
 )
 from mimo3d.decoders.sphere import level_functions, sd_baseline, tree_search
 from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, gram_cross, two_stage_zeros
-from mimo3d.linalg import MAX_SCALE, RankDeficiencyError, gram_schmidt_qr, tilde_interleave
+from mimo3d.linalg import (
+    MAX_SCALE,
+    RankDeficiencyError,
+    gram_schmidt_qr,
+    require_decodable,
+    tilde_interleave,
+)
 from mimo3d.modem import QamConstellation, se_order
 
 QPSK = build_qam(4)
@@ -1126,12 +1134,44 @@ def test_sd_baseline_core_signature():
     assert res.counters == counters
 
 
-@pytest.mark.parametrize("name", SEARCH_DECODERS)
+def test_ml_bruteforce_core_signature():
+    # the core takes the checked input and fresh counters and returns the
+    # decided interleaved vector; the registry entry adds the check and the
+    # metric
+    rng = derive_rng(225)
+    _, eq, y = random_instance(rng, QPSK, 5.0)
+    counters = OpCounters()
+    decided = ml_bruteforce(y, eq.h_eq, QPSK, counters)
+    res = get_decoder("bruteforce")(y, eq.h_eq, QPSK)
+    assert np.array_equal(tilde_interleave(res.symbols), decided)
+    assert res.counters == counters
+    assert not decided.flags.writeable  # a row of the shared candidate table
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_registry_checks_the_input_once_per_decode(name, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(name)
+        return require_decodable(*args)
+
+    monkeypatch.setattr(decoders_module, "require_decodable", counted)
+    _, eq, y = random_instance(derive_rng(226), QPSK, 10.0)
+    decode = get_decoder(name)
+    decode(y, eq.h_eq, QPSK)
+    decode(y, eq.h_eq, QPSK)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", SEARCH_DECODERS + ("bruteforce",))
 def test_registry_metric_is_the_interleaved_residual(name):
     # the reported metric reads the symbols through a dtype view; it is
-    # the same float as the residual of their interleaved copy
+    # the same float as the residual of their interleaved copy, for every
+    # entry, brute force included
     rng = derive_rng(231)
-    for m, snr_db in ((4, 5.0), (16, 15.0)):
+    configs = ((4, 5.0),) if name == "bruteforce" else ((4, 5.0), (16, 15.0))
+    for m, snr_db in configs:
         qam = QAMS[m]
         for _ in range(10):
             _, eq, y = random_instance(rng, qam, snr_db)

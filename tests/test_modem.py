@@ -33,10 +33,20 @@ def test_points_are_pam_product(m):
     assert np.array_equal(c.points, rebuilt)
 
 
-@pytest.mark.parametrize("m", [2, 8, 32, 256, 0])
+# 16.0 used to die in math.isqrt with a TypeError naming no argument
+@pytest.mark.parametrize("m", [2, 8, 32, 256, 0, 16.0, True, np.float64(16.0), np.bool_(True)],
+                         ids=repr)
 def test_build_qam_rejects(m):
-    with pytest.raises(ValueError):
+    build_qam(np.int64(16))  # an equal NumPy integer's cache entry must not answer
+    with pytest.raises(ValueError, match="order"):
         build_qam(m)
+
+
+@pytest.mark.parametrize("m", [np.int64(16), np.uint8(4), np.int32(64)], ids=repr)
+def test_build_qam_gives_one_object_per_order(m):
+    # a NumPy integer used to get an object of its own, which passed the
+    # decoders' identity check as a second "own" constellation
+    assert build_qam(m) is build_qam(int(m))
 
 
 def test_slice_tie_goes_to_smaller_level():

@@ -15,6 +15,7 @@ from mimo3d.decoders import DecodeResult, REGISTRY
 from mimo3d.linalg import RankDeficiencyError
 from mimo3d.sweep import (
     CSV_HEADER,
+    MAX_SNR_POINTS,
     SweepConfig,
     SweepRow,
     read_csv,
@@ -66,6 +67,14 @@ BAD_CONFIGS = {
     "bool-workers": dict(workers=True),
     # noise past the decoders' input scale: used to fail mid-sweep
     "noise-past-input-scale": dict(snr_start=-2000.0),
+    # grids past MAX_SNR_POINTS: 1e-300 used to hang in snr_points; the
+    # subnormal step makes the point count inf
+    "tiny-step": dict(snr_step=1e-300),
+    "subnormal-step": dict(snr_step=5e-324),
+    "too-many-points": dict(snr_start=-1000.0, snr_stop=1000.0, snr_step=1.0),
+    # used to run the decoder twice and write its rows twice
+    "decoder-twice": dict(decoders=("sd-baseline", "sd-baseline")),
+    "decoder-twice-apart": dict(decoders=("simplified", "sd-baseline", "simplified")),
 }
 
 
@@ -73,6 +82,15 @@ BAD_CONFIGS = {
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         small_config(**bad).validate()
+
+
+def test_config_refuses_a_grid_past_max_points_by_its_step():
+    config = small_config(snr_start=0.0, snr_stop=MAX_SNR_POINTS - 1.0, snr_step=1.0)
+    config.validate()
+    assert config.snr_points() == tuple(float(k) for k in range(MAX_SNR_POINTS))
+    config.snr_stop = float(MAX_SNR_POINTS)
+    with pytest.raises(ValueError, match="^snr_step 1 gives 1001 SNR points"):
+        config.validate()
 
 
 def test_config_refuses_a_bare_decoder_name():
@@ -408,6 +426,11 @@ SWEEP_ARGV = ["sweep", "--snr-start", "0", "--snr-stop", "0", "--snr-step", "1",
     (SWEEP_ARGV + ["--snr-start", "-4000"], "snr_start -4000 dB"),
     # noise past the decoders' input scale: used to fail mid-sweep
     (SWEEP_ARGV + ["--snr-start", "-2000"], "snr_start -2000 dB"),
+    # a grid past MAX_SNR_POINTS used to hang, and a decoder named twice
+    # to run twice
+    (SWEEP_ARGV + ["--snr-step", "1e-300"], "snr_step 1e-300"),
+    (SWEEP_ARGV + ["--snr-stop", "2000"], "snr_step 1"),
+    (SWEEP_ARGV + ["--decoders", "simplified,sd-baseline,simplified"], "'simplified' twice"),
 ])
 def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
