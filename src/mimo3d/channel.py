@@ -87,8 +87,12 @@ def make_equivalent(h, variant="new"):
     is computed on first use; the decoders factor ``h_eq`` themselves, so a
     caller that only hands ``h_eq`` to a decoder never pays for it.
     """
-    if np.shape(h) != (N_RX, 4):
-        raise ValueError(f"h has shape {np.shape(h)}; the equivalent channel needs 2x4")
+    try:
+        shape = np.shape(h)
+    except ValueError as err:  # a ragged nesting, such as [[1] * 4, [1] * 3]
+        raise ValueError(f"h is not a rectangular array: {err}") from None
+    if shape != (N_RX, 4):
+        raise ValueError(f"h has shape {shape}; the equivalent channel needs 2x4")
     g = build_generator(variant)
     h_eq = (check_expand_matrix(h) @ g.reshape(BLOCK_LEN, -1, g.shape[1])).reshape(16, 16)
     return EquivalentChannel(h_eq=h_eq)

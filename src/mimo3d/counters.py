@@ -22,13 +22,13 @@ is defined):
   slicing errors over 8 complex estimates, 16 mults.  Only a decode with a
   switch is charged it.
 * The tree searches charge what runs.  Every evaluated child costs 2 mults
-  (the residual ``acc - r_ii s_i`` and its square).  The centred policy
+  (the residual ``acc - r_ii s_i`` and its square).  The centred search
   (``sd-baseline``) also charges, per expanded node, ``n - 1 - i`` mults for
   the inner product that forms ``acc`` and one division for the centre.
-  The table policy (the two-stage tree stage) charges per table entry
-  built, at most once per (level, parent value): one division, plus one
-  mult for a level that couples to another.  It multiplies by no
-  structural zero of R.  Both policies stop a sibling loop at the first
+  The table-driven search (the two-stage tree stage) charges per table
+  entry built, at most once per (level, parent value): one division, plus
+  one mult for a level that couples to another.  It multiplies by no
+  structural zero of R.  Both searches stop a sibling loop at the first
   child outside the radius, and that child is counted.
 * The parallel decisions charge what runs.  The leaf's lower bound is
   formed branch by branch, and each term it forms costs 8 mults for the

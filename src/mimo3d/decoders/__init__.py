@@ -33,7 +33,7 @@ search cores and stages stay where they are only as the targets the
 benchmark's tracer (``bench/tracing.py``) wraps where they are looked up
 at call time: this module's ``simplified_ml``, ``sd_baseline`` and
 ``gram_schmidt_qr``, and the stages of :mod:`.simplified` and
-:mod:`.sphere`, which share one search engine.
+:mod:`.sphere`, which holds both searches.
 """
 
 from __future__ import annotations

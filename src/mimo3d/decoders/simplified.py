@@ -6,14 +6,13 @@ real from imaginary parts (see :mod:`.structure`).  The decode therefore
 splits into:
 
 * an outer depth-first tree search over the 8 real dimensions of the last
-  four symbols of the decode order.  It is the shared engine
-  :func:`~.sphere.tree_search` with the table policy.  The tree block of R
-  has the same pattern as the leading one, so each level's conditional
-  centre depends on at most one decided level.  Its exact S-E order is
-  looked up from a per-decode table built on first use (no per-node
-  division), and each sibling loop stops at the first child outside the
-  adaptive radius;
-* at each surviving leaf, as the engine's leaf hook, four *parallel
+  four symbols of the decode order, :func:`~.sphere.tree_search`.  The tree
+  block of R has the same pattern as the leading one, so each level's
+  conditional centre depends on at most one decided level.  Its exact S-E
+  order is looked up from a per-decode table built on first use (no
+  per-node division), and each sibling loop stops at the first child
+  outside the adaptive radius;
+* at each surviving leaf, as the search's leaf hook, four *parallel
   decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
   (s3R,s4R), (s3I,s4I) on the interference-cancelled targets v, each a
   one-level S-E loop over the "s2-role" symbol with conditional slicing of
@@ -331,8 +330,8 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
     decode order; without one, no estimate is needed.  Only the permuted
     channel ``H_eq P`` is then factored, once, in one Householder pass that
     also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
-    search finds its S-E orders from R and ``z`` (the table policy of
-    :func:`~.sphere.tree_search`), and the decided vector is put back in
+    search finds its S-E orders from R and ``z`` by table lookup
+    (:func:`~.sphere.tree_search`), and the decided vector is put back in
     canonical order by the switch's column map.  ``counters`` is charged
     what runs: one factorization and rotation, whatever the order
     (:func:`~mimo3d.counters.charge_rotation`), plus, with a switch, the LU
@@ -363,8 +362,7 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
         a_hat, b_hat, d_p = decide(s_outer, rows, radius, d_leaf, pam, counters, z)
         return d_p, (a_hat, b_hat)
 
-    best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters,
-                                                tables=True)
+    best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters)
     decided = np.empty(16)  # interleaved, canonical order: the columns undo the switch
     decided[_COLUMNS[order]] = (*a_hat, *b_hat, *best_outer)
     return decided

@@ -1,29 +1,27 @@
-"""The depth-first sphere search engine and the classical baseline on it.
-
-Both tree decoders run the same search (Agrell, Eriksson, Vardy and Zeger,
-"Closest point search in lattices", IEEE Trans. Inf. Theory 2002): a
-depth-first walk of ``min ||z - R s||^2`` from the last dimension down to the
+"""The depth-first sphere searches of both tree decoders (Agrell, Eriksson,
+Vardy and Zeger, "Closest point search in lattices", IEEE Trans. Inf. Theory
+2002): a walk of ``min ||z - R s||^2`` from the last dimension down to the
 first, with an adaptive radius that shrinks at every improving leaf.  Every
 node visits its children in centred Schnorr-Euchner (S-E) order, ascending
 distance from the conditional (Babai) centre, so the increments along a
 sibling loop are nondecreasing and the loop is cut at the first child
-outside the sphere.  The two enumeration policies of :func:`tree_search`
-differ only in how a node finds its centre:
+outside the sphere.  The two searches differ in how a node finds its centre:
 
-* centred -- the inner product over the node's row of R and one division
-  at every expanded node, for any upper-triangular R, as straight-line
-  code: one generated function per level, built once per dimension;
-* tables -- a per-decode table lookup, for R with the zero pattern of the
-  two-stage decoder's tree block, which makes the code fast-decodable
-  (Biglieri, Hong and Viterbo, "On fast-decodable space-time block codes",
-  IEEE Trans. Inf. Theory 2009).  Half of its rows are diagonal, so their
-  centre is fixed for the whole decode; each other row couples to a single
-  diagonal one, so it has one centre per value of that level.  Each
-  (level, parent value) entry is built once, on first use; no node divides.
+* :func:`centred_search` -- the inner product over the node's row of R and
+  one division at every expanded node, for any upper-triangular R, as one
+  generated function of ``n`` nested loops, built once per dimension;
+* :func:`tree_search` -- a per-decode table lookup, for R with the zero
+  pattern of the two-stage decoder's tree block, which makes the code
+  fast-decodable (Biglieri, Hong and Viterbo, "On fast-decodable space-time
+  block codes", IEEE Trans. Inf. Theory 2009).  Half of its rows are
+  diagonal, so their centre is fixed for the whole decode; each other row
+  couples to a single diagonal one, so it has one centre per value of that
+  level.  Each (level, parent value) entry is built once, on first use; no
+  node divides.
 
-:func:`sd_baseline` is the classical 16-level real-valued search with the
-centred policy, run to completion, hence exactly ML.  The two-stage decoder
-(:mod:`.simplified`) runs the table policy over its 8 tree dimensions and
+:func:`sd_baseline` is the classical 16-level real-valued search, centred,
+run to completion, hence exactly ML.  The two-stage decoder
+(:mod:`.simplified`) runs :func:`tree_search` over its 8 tree dimensions and
 hands every leaf to its parallel decisions, which first drop a leaf whose
 lower bound shows it cannot beat the radius.
 """
@@ -43,51 +41,80 @@ _COUPLED_LEVEL = tuple(dict(COUPLED_DIMS).get(i) for i in range(8))
 
 
 @functools.cache
-def level_functions(n):
-    """The ``n`` functions ``f_i(z_i, row, s) = z_i - row[i+1] * s[i+1] - ... - row[n-1] * s[n-1]``.
+def centred_search(n):
+    """The centred search over ``n`` dimensions, generated once per ``n``:
+    ``search(z, r, pam, counters) -> (best_s, best_distance)``.
 
-    Compiled once per ``n`` from integer indices only, so they call nothing.
-    The chain runs left to right: it rounds as ``acc -= row[k] * s[k]`` over
-    ascending k does, bit for bit, without the loop's per-term overhead.
+    ``n`` nested loops, level ``n - 1`` outermost, with ``z``, the upper
+    triangle of ``r`` (float arrays; ``r`` past the rank rule, as its
+    diagonal divides unchecked), the radius and the counts in locals.
+    Level i forms ``acc = z_i - r_i,i+1 s_i+1 - ...`` left to right, so it
+    rounds as ``acc -= r_ik s_k`` over ascending k does, and walks
+    ``se_order(acc / r_ii)`` (looked up in this module at call time), cut at
+    the first child not strictly inside the radius.  A leaf inside it
+    becomes the best point and the radius.  ``counters`` is charged after
+    the search: per expansion of level i, ``n - 1 - i`` mults and a
+    division; per evaluated child, 2 mults.  CPython nests at most 20 loops.
     """
-    terms = [f" - row[{k}] * s[{k}]" for k in range(n)]
-    return tuple(eval("lambda z, row, s: z" + "".join(terms[i + 1:]), {}) for i in range(n))
+    triangle = ", ".join(f"({''.join(f'r{i}_{k}, ' if k >= i else '_, ' for k in range(n))})"
+                         for i in range(n))
+    src = ["def search(z, r, pam, counters):",
+           f"    {''.join(f'z{i}, ' for i in range(n))}= z.tolist()",
+           f"    {triangle}, = r.tolist()",
+           f"    radius, best, nodes, leaves, d{n} = math.inf, None, 0, 0, 0.0",
+           f"    {' = '.join(f'e{i}' for i in range(n))} = 0"]
+    for i in reversed(range(n)):
+        pad = "    " * (n - i)
+        src += [f"{pad}e{i} += 1",
+                f"{pad}acc{i} = z{i}{''.join(f' - r{i}_{k} * s{k}' for k in range(i + 1, n))}",
+                f"{pad}for s{i} in se_order(acc{i} / r{i}_{i}, pam):",
+                f"{pad}    nodes += 1",
+                f"{pad}    t = acc{i} - r{i}_{i} * s{i}",
+                f"{pad}    d{i} = d{i + 1} + t * t",
+                f"{pad}    if not d{i} < radius:",
+                f"{pad}        break"]  # later siblings are at least this far
+    pad = "    " * (n + 1)
+    src += [f"{pad}leaves += 1",
+            f"{pad}radius = d0",
+            f"{pad}best = [{', '.join(f's{k}' for k in range(n))}]",
+            "    counters.tree_nodes += nodes",
+            "    counters.leaves += leaves",
+            f"    counters.mults += {''.join(f'{n - 1 - i} * e{i} + ' for i in range(n - 1))}2 * nodes",
+            f"    counters.divs += {' + '.join(f'e{i}' for i in range(n))}",
+            "    return best, radius"]
+    space = {}
+    # with this module's globals, so se_order is looked up here at each call
+    exec("\n".join(src), globals(), space)
+    return space["search"]
 
 
-def tree_search(z, r, pam, leaf_fn, counters, tables=False):
-    """Depth-first search of ``min ||z - R s||^2`` for upper-triangular ``r``.
+def tree_search(z, r, pam, leaf_fn, counters):
+    """Depth-first search of ``min ||z - R s||^2`` over the two-stage
+    decoder's tree block.
 
-    ``r`` must have passed the rank rule (``gram_schmidt_qr`` output, or a
-    diagonal block of it): the search divides by its diagonal unchecked.
-    Every level enumerates the levels of ``pam`` in exact S-E order from its
-    conditional centre ``acc / r_ii``, ``acc = z_i - sum_k r_ik s_k``, so
-    the increments along a sibling loop are nondecreasing and the loop stops
-    at the first child outside the radius.  ``tables`` picks how the order
-    and ``acc`` are found:
+    ``r`` has the pattern of the trailing 8x8 block of a ``gram_schmidt_qr``
+    R that passed both the rank rule and :func:`~.structure.two_stage_zeros`:
+    a row i paired with a level j in ``COUPLED_DIMS`` couples only to it
+    (``r_ij``), and every other row is diagonal.  The search divides by the
+    diagonal unchecked.  Every level enumerates the levels of ``pam`` in exact S-E
+    order from its conditional centre ``acc / r_ii``, so the increments
+    along a sibling loop are nondecreasing and the loop stops at the first
+    child outside the radius.
 
-    * ``False`` (centred): at every expanded node, the inner product over
-      the row (``n - 1 - i`` mults) by ``level_functions(n)[i]``, a loop's
-      terms in its order, hence its bits, and one division.  ``descend``
-      reads ``n`` as ``len(row)``, so the tuple takes ``n``'s closure cell
-      and a decode leaves no more objects to the cyclic GC (simplified_ml);
-    * ``True`` (tables): looked up from a per-decode table, for an ``r``
-      with the pattern of the two-stage decoder's tree block: a row i
-      paired with a level j in ``COUPLED_DIMS`` couples only to it
-      (``r_ij``), and every other row is diagonal.  A diagonal row's entry
-      is its fixed centre ``z_i / r_ii``.  A coupled row has one entry per
-      value of s_j, ``acc = z_i - r_ij s_j``.  Each entry is built on first
-      use, at most once per (level, parent value), for one mult (coupled
-      rows only) and one division; no node divides, and no inner product
-      runs over the structural zeros of ``r``.
+    The order and ``acc`` are looked up from a per-decode table.  A diagonal
+    row's entry is its fixed centre ``z_i / r_ii``.  A coupled row has one
+    entry per value of s_j, ``acc = z_i - r_ij s_j``.  Each entry is built on
+    first use, at most once per (level, parent value), for one mult (coupled
+    rows only) and one division; no node divides, and no inner product runs
+    over the structural zeros of ``r``.
 
     Every evaluated child costs 2 mults, charged once after the search.  A
     full-depth candidate inside the radius is a leaf; ``leaf_fn(s, d_leaf,
-    radius) -> (d_p, payload)`` completes it (``None``: the leaf is complete
-    as it is), and the radius becomes ``d_leaf + d_p`` on strict improvement
-    only, so ties keep the first solution found.  ``z`` and ``r`` are
-    converted once to plain Python floats, so the per-node arithmetic (and
-    ``d_leaf``, ``radius`` and the returned distance) never goes through
-    NumPy scalars.
+    radius) -> (d_p, payload)`` completes it, and the radius becomes
+    ``d_leaf + d_p`` on strict improvement only, so ties keep the first
+    solution found.  ``z`` and ``r`` are converted once to plain Python
+    floats, so the per-node arithmetic (and ``d_leaf``, ``radius`` and the
+    returned distance) never goes through NumPy scalars.
 
     Returns ``(best_s, best_payload, best_distance)``.
     """
@@ -100,8 +127,7 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
     # The closure cycle of descend leaves the table to the cyclic GC, so it
     # is one flat list of floats and the PamSet's shared order tuples: it
     # adds no object but itself to what a decode leaves (see simplified_ml)
-    table = [None] * (2 * pam.order * n) if tables else None
-    levels = None if tables else level_functions(n)
+    table = [None] * (2 * pam.order * n)
     radius = math.inf
     best = best_payload = None
 
@@ -109,25 +135,19 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
         nonlocal radius, best, best_payload
         row = rows[i]
         rii = row[i]
-        if table is None:
-            acc = levels[i](z[i], row, s)
-            counters.mults += len(row) - 1 - i
-            children = se_order(acc / rii, pam)
+        at = 2 * pam.order * i
+        j = _COUPLED_LEVEL[i]
+        if j is not None:
+            at += 2 * pam.level_tuple.index(s[j])
+        children = table[at + 1]
+        if children is None:
+            acc = z[i] if j is None else z[i] - row[j] * s[j]
+            children = table[at + 1] = se_order(acc / rii, pam)
+            table[at] = acc
+            counters.mults += j is not None
             counters.divs += 1
         else:
-            at = 2 * pam.order * i
-            j = _COUPLED_LEVEL[i]
-            if j is not None:
-                at += 2 * pam.level_tuple.index(s[j])
-            children = table[at + 1]
-            if children is None:
-                acc = z[i] if j is None else z[i] - row[j] * s[j]
-                children = table[at + 1] = se_order(acc / rii, pam)
-                table[at] = acc
-                counters.mults += j is not None
-                counters.divs += 1
-            else:
-                acc = table[at]
+            acc = table[at]
         for cand in children:
             s[i] = cand
             counters.tree_nodes += 1
@@ -138,7 +158,7 @@ def tree_search(z, r, pam, leaf_fn, counters, tables=False):
                     descend(i - 1, d_new)
                     continue
                 counters.leaves += 1
-                d_p, payload = (0.0, None) if leaf_fn is None else leaf_fn(s, d_new, radius)
+                d_p, payload = leaf_fn(s, d_new, radius)
                 d_total = d_new + d_p
                 if d_total < radius:
                     radius = d_total
@@ -159,6 +179,7 @@ def sd_baseline(z_tilde, r, constellation, counters):
     The search core of the ``sd-baseline`` registry entry, which checks the
     input, rotates it and charges the QR to ``counters`` first; ``r`` must be
     upper triangular with positive diagonal (``gram_schmidt_qr`` output).
-    Returns the decided interleaved 16-vector, a list of floats.
+    Runs :func:`centred_search` and returns the decided interleaved
+    16-vector, a list of floats.
     """
-    return tree_search(z_tilde, r, constellation.pam, None, counters)[0]
+    return centred_search(16)(z_tilde, r, constellation.pam, counters)[0]

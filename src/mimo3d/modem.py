@@ -70,7 +70,6 @@ def _se_orders(level_tuple):
     )
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # so 16.0 never hits np.int64(16)'s entry
 def build_qam(m):
     """Build a unit-energy square M-QAM constellation, M in {4, 16, 64}.
 
@@ -79,11 +78,20 @@ def build_qam(m):
     Point k is ``levels[k // n] + 1j * levels[k % n]`` with ``n = sqrt(M)``.
     The PAM set carries its spacing and its S-E order tables.  Built once
     per order and shared, with read-only ``points``; a NumPy integer order
-    gets the equal ``int``'s object, and a float or bool one a ValueError.
+    gets the equal ``int``'s object, and a float, bool or unhashable one a
+    ValueError.
     """
-    if type(m) is not int:  # runs once per order and type; an int call is a bare cache hit
+    try:
+        return _build_qam(m)
+    except TypeError:  # an unhashable order, such as [16], never reaches the cache
+        raise ValueError(f"constellation order must be an integer, not {m!r}") from None
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # so 16.0 never hits np.int64(16)'s entry
+def _build_qam(m):
+    if type(m) is not int:  # runs once per order and type; an int call is a cache hit
         if isinstance(m, np.integer):
-            return build_qam(int(m))
+            return _build_qam(int(m))
         raise ValueError(f"constellation order must be an integer, not {m!r}")
     if m not in MODULATIONS.values():
         raise ValueError(f"unsupported constellation order {m}; expected one of {tuple(MODULATIONS.values())}")

@@ -13,7 +13,7 @@ from mimo3d import (
 from mimo3d.decoders.simplified import ALLOWED_ORDERS, ColumnSwitchPlan
 from mimo3d.decoders.structure import COUPLED_DIMS
 from mimo3d.linalg import tilde_interleave, vec_stack
-from mimo3d.modem import slice_pam
+from mimo3d.modem import se_order, slice_pam
 
 
 def nearest_qam(z, constellation):
@@ -214,6 +214,54 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
     a_hat = (sol1[0], sol1[1], sol2[0], sol2[1])
     b_hat = (sol1[2], sol1[3], sol2[2], sol2[3])
     return a_hat, b_hat, d_p
+
+
+def centred_search_reference(z, r, pam, counters):
+    """The centred sphere search as a recursive closure: at every expanded
+    node of level i, ``acc = z_i - sum_k r_ik s_k`` by a loop over ascending
+    k (``n - 1 - i`` mults), one division for the centre ``acc / r_ii``, and
+    the children in ``se_order``, the loop cut at the first one outside the
+    radius; 2 mults per evaluated child, charged after the search.  The
+    radius moves on strict improvement only.  Returns ``(best_s,
+    best_distance)``, as :func:`~mimo3d.decoders.sphere.centred_search`."""
+    rows = np.asarray(r, dtype=float).tolist()
+    z = np.asarray(z, dtype=float).ravel().tolist()
+    n = len(z)
+    s = [0.0] * n
+    radius = math.inf
+    best = None
+
+    def descend(i, dist):
+        nonlocal radius, best
+        row = rows[i]
+        rii = row[i]
+        acc = z[i]
+        for k in range(i + 1, n):
+            acc -= row[k] * s[k]
+        counters.mults += n - 1 - i
+        children = se_order(acc / rii, pam)
+        counters.divs += 1
+        for cand in children:
+            s[i] = cand
+            counters.tree_nodes += 1
+            resid = acc - rii * cand
+            d_new = dist + resid * resid
+            if d_new < radius:
+                if i:
+                    descend(i - 1, d_new)
+                    continue
+                counters.leaves += 1
+                d_total = d_new + 0.0
+                if d_total < radius:
+                    radius = d_total
+                    best = s.copy()
+            else:
+                break
+
+    nodes = counters.tree_nodes
+    descend(n - 1, 0.0)
+    counters.mults += 2 * (counters.tree_nodes - nodes)
+    return best, radius
 
 
 def column_switch_reference(s_zf, h_eq, mode, constellation):

@@ -175,3 +175,9 @@ def test_make_equivalent_refuses_wrong_shapes(shape):
     # these used to fail inside NumPy's matmul, reshape or unpacking
     with pytest.raises(ValueError, match=re.escape(f"h has shape {shape}")):
         make_equivalent(np.ones(shape, complex))
+
+
+def test_make_equivalent_refuses_a_ragged_h():
+    # used to raise NumPy's "inhomogeneous shape" error, which names no argument
+    with pytest.raises(ValueError, match="h is not a rectangular array"):
+        make_equivalent([[1] * 4, [1] * 3])

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     assert_certified_ml,
     branch_oracle,
+    centred_search_reference,
     column_switch_reference,
     leaf_bound,
     leaf_bound_sums,
@@ -35,10 +36,9 @@ from mimo3d.decoders.simplified import (
     simplified_ml,
     zf_estimate,
 )
-from mimo3d.decoders.sphere import level_functions, sd_baseline, tree_search
+from mimo3d.decoders.sphere import centred_search, sd_baseline, tree_search
 from mimo3d.decoders.structure import COUPLED_DIMS, REL_TOL, gram_cross, two_stage_zeros
 from mimo3d.linalg import (
-    MAX_SCALE,
     RankDeficiencyError,
     gram_schmidt_qr,
     require_decodable,
@@ -57,6 +57,11 @@ def decide(v, r, radius, d_outer, pam, counters):
     """:func:`parallel_decisions` on the targets ``v`` themselves: with every
     tree symbol 0, each cancelled target is its entry of ``z``."""
     return parallel_decisions([0.0] * 8, r, radius, d_outer, pam, counters, v)
+
+
+def complete(s, d_leaf, radius):
+    """A ``tree_search`` leaf hook for a leaf that is complete as it is."""
+    return 0.0, None
 
 
 def all_targets(z, r, s_outer):
@@ -599,15 +604,23 @@ def test_equal_columns_raise_at_every_scale(scale):
 
 
 def test_tree_search_relative_rank_rule():
-    # both policies, on an R with the tree block's pattern
+    # both searches, on an R with the tree block's pattern
     rng = np.random.default_rng(13)
     z = rng.standard_normal(8)
     scale = 2.0**-46
-    for tables in (False, True):
+
+    def centred(z, r):
+        return centred_search(8)(z, r, QPSK.pam, OpCounters())
+
+    def tables(z, r):
+        best, _, dist = tree_search(z, r, QPSK.pam, complete, OpCounters())
+        return best, dist
+
+    for search in (centred, tables):
         r = tree_pattern_r(rng)
-        want = tree_search(z, r, QPSK.pam, None, OpCounters(), tables=tables)
-        got = tree_search(z * scale, r * scale, QPSK.pam, None, OpCounters(), tables=tables)
-        assert got[0] == want[0] and got[2] == want[2] * scale**2
+        want = search(z, r)
+        got = search(z * scale, r * scale)
+        assert got[0] == want[0] and got[1] == want[1] * scale**2
 
 
 def _zf_with_errors(base_points, deltas):
@@ -742,9 +755,7 @@ def test_tree_search_toy_trace():
     r = math.sqrt(2.0) * np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
                                    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     z = [0.1, 0.45, -0.9, 0.25]
-    best, payload, radius = tree_search(
-        z, r, QPSK.pam, lambda s, d, rad: (0.0, None), counters, tables=True
-    )
+    best, payload, radius = tree_search(z, r, QPSK.pam, complete, counters)
     a = QPSK.pam.level_tuple[1]
     assert best == [a, -a, -a, a]
     assert payload is None
@@ -781,11 +792,12 @@ def test_table_policy_matches_centred_policy(seed, k, m, centres):
             t = levels[j] + (rng.uniform(-0.5, 0.5) * pam.spacing if kind == "offset" else 0.0)
         z.append(r[i, i] * t + (r[i, i + 2] * s[i + 2] if i % 4 < 2 else 0.0))
     r, z = r * 2.0**k, np.array(z) * 2.0**k
-    runs = []
-    for tables in (False, True):
-        c = OpCounters()
-        best, _, dist = tree_search(z, r, pam, None, c, tables=tables)
-        runs.append((best, dist, c.tree_nodes, c.leaves))
+    c = OpCounters()
+    best, dist = centred_search(8)(z, r, pam, c)
+    runs = [(best, dist, c.tree_nodes, c.leaves)]
+    c = OpCounters()
+    best, _, dist = tree_search(z, r, pam, complete, c)
+    runs.append((best, dist, c.tree_nodes, c.leaves))
     assert runs[0] == runs[1]
 
     # every order the table policy can look up, one per (level, parent
@@ -804,63 +816,80 @@ def test_table_policy_matches_centred_policy(seed, k, m, centres):
                 assert rb * rb >= ra * ra - slack * (abs(ra) + abs(rb)) - 2 * eps * ra * ra
 
 
+def _exact_ties(levels):
+    """The float midpoints of neighbouring levels that are exact S-E ties,
+    as far from one level as from the other, rounded, each with its lower
+    level, the first in S-E order.  The middle one, 0.0, always is."""
+    mids = [((a + b) / 2, a, b) for a, b in zip(levels, levels[1:])]
+    return tuple((t, a) for t, a, b in mids if t - a == b - t)
+
+
+EXACT_TIES = {m: _exact_ties(qam.pam.level_tuple) for m, qam in QAMS.items()}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), m=st.sampled_from([4, 16, 64]),
+       k=st.integers(-40, 40), data=st.data())
+def test_centred_search_equals_the_recursive_reference(seed, n, m, k, data):
+    """The generated nested loops run the recursive search node for node:
+    the same best point, distance bits and counters.  R is upper triangular
+    with a diagonal of ones and twos and about half its other entries zero,
+    and everything is scaled by 2^k.  Level i's centre is on a PAM level or
+    at a random offset from one, along the path of the levels nearest each
+    centre.  At up to four levels, each of which doubles the tree, row i is
+    diagonal and the centre an exact tie at every node instead: a midpoint
+    from ``EXACT_TIES``, whose two levels come as siblings at exactly the
+    same distance."""
+    pam = QAMS[m].pam
+    levels = pam.level_tuple
+    offsets = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ties = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    rng = derive_rng(seed)
+    r = np.triu(rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+    r[np.diag_indices(n)] = 2.0 ** rng.integers(0, 2, n)
+    s = [0.0] * n
+    z = np.zeros(n)
+    for i in reversed(range(n)):
+        j = int(rng.integers(0, len(levels) - 1))
+        s[i] = levels[j]
+        if i in ties:
+            r[i, i + 1:] = 0.0
+            t, s[i] = EXACT_TIES[m][j % len(EXACT_TIES[m])]
+            z[i] = r[i, i] * t
+        else:
+            t = levels[j] + (rng.uniform(-0.5, 0.5) * pam.spacing if offsets[i] else 0.0)
+            z[i] = r[i, i] * t + r[i, i + 1:] @ s[i + 1:]
+    r, z = r * 2.0**k, z * 2.0**k
+    got, want = OpCounters(), OpCounters()
+    best, dist = centred_search(n)(z, r, pam, got)
+    ref_best, ref_dist = centred_search_reference(z, r, pam, want)
+    assert best == ref_best
+    assert struct.pack("d", dist) == struct.pack("d", ref_dist)
+    assert got == want
+
+
 @pytest.mark.parametrize("order", ["centred", "tables"])
 def test_tree_search_runs_on_plain_floats(order):
-    # NumPy z and R go in; every distance the engine hands out is a Python
-    # float, so the per-node arithmetic never runs as NumPy scalars
+    # NumPy z and R go in; every distance and symbol the searches hand out is
+    # a Python float, so the per-node arithmetic never runs as NumPy scalars
     rng = derive_rng(225)
     _, eq, y = random_instance(rng, QAM16, 12.0)
     r, z = gram_schmidt_qr(eq.h_eq, y)
-    tables = order == "tables"
-    if tables:  # the tree block, whose pattern the table policy needs
-        r, z = r[8:, 8:], z[8:]
+    if order == "centred":
+        best, dist = centred_search(16)(z, r, QAM16.pam, OpCounters())
+        assert type(dist) is float
+        assert {type(x) for x in best} == {float}
+        return
+    r, z = r[8:, 8:], z[8:]  # the tree block, whose pattern the table policy needs
     seen = []
 
     def leaf(s, d_leaf, radius):
         seen.append((type(d_leaf), type(radius)))
         return 0.0, None
 
-    _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters(), tables=tables)
+    _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters())
     assert type(dist) is float
     assert seen and set(seen) == {(float, float)}
-
-
-class _CountingFloat(float):
-    """A float that counts the products it is the left operand of."""
-
-    products = 0
-
-    def __mul__(self, other):
-        _CountingFloat.products += 1
-        return float(self) * other
-
-
-# finite floats up to past the decoders' input scale bound, both zeros and
-# the bound itself included
-SEARCH_FLOATS = st.one_of(
-    st.sampled_from((0.0, -0.0, MAX_SCALE, -MAX_SCALE, 1.0 / MAX_SCALE)),
-    st.floats(min_value=-4 * MAX_SCALE, max_value=4 * MAX_SCALE),
-)
-
-
-@settings(max_examples=300)
-@given(n=st.integers(1, 16), data=st.data())
-def test_level_functions_equal_the_loop(n, data):
-    # each generated level function gives the loop's bits (-0.0 is not 0.0)
-    # and runs n - 1 - i products, the centred policy's mult charge
-    levels = level_functions(n)
-    assert level_functions(n) is levels
-    assert len(levels) == n
-    vectors = st.lists(SEARCH_FLOATS, min_size=n, max_size=n)
-    z, row, s = data.draw(vectors), data.draw(vectors), data.draw(vectors)
-    for i, level in enumerate(levels):
-        acc = z[i]
-        for k in range(i + 1, n):
-            acc -= row[k] * s[k]
-        assert struct.pack("d", level(z[i], row, s)) == struct.pack("d", acc), (i, acc)
-        _CountingFloat.products = 0
-        level(z[i], [_CountingFloat(x) for x in row], s)
-        assert _CountingFloat.products == n - 1 - i
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1057,15 +1086,17 @@ def test_search_decoders_are_certified_ml(m, seed, k, data):
 
 # objects one decode leaves to the cyclic GC, by decoder; a test parameter,
 # not part of the test id, so that an intended change renames no test
-GARBAGE = {"sd-baseline": 37, "simplified": 58, "simplified-cs4": 58, "simplified-cs2": 58}
+GARBAGE = {"sd-baseline": 3, "simplified": 57, "simplified-cs4": 57, "simplified-cs2": 57}
 
 
 @pytest.mark.parametrize("name", GARBAGE)
 def test_per_decode_cyclic_garbage(name):
     """Pins how many gc-tracked objects one decode leaves in generation 0.
 
-    The search's recursive closure is a reference cycle, so what it holds is
-    left to the cyclic GC, and the sweep benchmark's speed probe, which runs
+    The two-stage search's recursive closure (``tree_search``) is a
+    reference cycle, so what it holds is left to the cyclic GC; the
+    generated search of ``sd-baseline`` leaves none.  The sweep
+    benchmark's speed probe, which runs
     with gc enabled, reads any change in this count as a 2-3x change in
     speed.  The test goes when the probe runs with gc off (ROADMAP item 1).
     """

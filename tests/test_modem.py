@@ -34,8 +34,8 @@ def test_points_are_pam_product(m):
 
 
 # 16.0 used to die in math.isqrt with a TypeError naming no argument
-@pytest.mark.parametrize("m", [2, 8, 32, 256, 0, 16.0, True, np.float64(16.0), np.bool_(True)],
-                         ids=repr)
+@pytest.mark.parametrize("m", [2, 8, 32, 256, 0, 16.0, True, np.float64(16.0), np.bool_(True),
+                               [16]], ids=repr)
 def test_build_qam_rejects(m):
     build_qam(np.int64(16))  # an equal NumPy integer's cache entry must not answer
     with pytest.raises(ValueError, match="order"):
