@@ -51,8 +51,10 @@ def _add_sweep_parser(sub):
 
 def _check_out_path(path):
     """Refuse an output path that ``write_csv`` could not open, before a
-    sweep spends any work on it: a directory, or a file in a directory that
-    does not exist.  Raises :class:`ValueError`."""
+    sweep spends any work on it: an empty path, a directory, or a file in a
+    directory that does not exist.  Raises :class:`ValueError`."""
+    if not path:
+        raise ValueError("--out is empty")
     if os.path.isdir(path):
         raise ValueError(f"--out {path} is a directory")
     folder = os.path.dirname(path) or "."

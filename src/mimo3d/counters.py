@@ -25,10 +25,10 @@ is defined):
   (the residual ``acc - r_ii s_i`` and its square).  The centred search
   (``sd-baseline``) also charges, per expanded node, ``n - 1 - i`` mults for
   the inner product that forms ``acc`` and one division for the centre.
-  The table-driven search (the two-stage tree stage) charges per table
-  entry built, at most once per (level, parent value): one division, plus
-  one mult for a level that couples to another.  It multiplies by no
-  structural zero of R.  Both searches stop a sibling loop at the first
+  The two-stage tree search charges per S-E order it builds, once per
+  decode for a diagonal level and at most once per parent value for a
+  level that couples to another: one division, plus one mult for a coupled
+  level.  It multiplies by no structural zero of R.  Both searches stop a sibling loop at the first
   child outside the radius, and that child is counted.
 * The parallel decisions charge what runs.  The leaf's lower bound is
   formed branch by branch, and each term it forms costs 8 mults for the

@@ -6,12 +6,12 @@ real from imaginary parts (see :mod:`.structure`).  The decode therefore
 splits into:
 
 * an outer depth-first tree search over the 8 real dimensions of the last
-  four symbols of the decode order, :func:`~.sphere.tree_search`.  The tree
-  block of R has the same pattern as the leading one, so each level's
-  conditional centre depends on at most one decided level.  Its exact S-E
-  order is looked up from a per-decode table built on first use (no
-  per-node division), and each sibling loop stops at the first child
-  outside the adaptive radius;
+  four symbols of the decode order, :func:`~.sphere.tree_search`, one
+  generated function of 8 nested loops.  The tree block of R has the same
+  pattern as the leading one, so each level's conditional centre depends
+  on at most one decided level.  Its exact S-E order is built once per
+  decode or once per value of that level (no per-node division), and each
+  sibling loop stops at the first child outside the adaptive radius;
 * at each surviving leaf, as the search's leaf hook, four *parallel
   decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
   (s3R,s4R), (s3I,s4I) on the interference-cancelled targets v, each a
@@ -27,7 +27,9 @@ splits into:
   lockstep and share termination information: a branch stops when its
   ascending partial distance exceeds its own best, or when it plus the
   recorded distances of already-finished branches and the outer distance
-  exceeds the sphere radius.
+  exceeds the sphere radius.  :func:`parallel_decisions` is written out
+  from one template per part, one block per branch, with every branch's
+  state in locals.
 
 The worst case is sqrt(M)^8 = M^4 tree leaves with sqrt(M) candidates per
 branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
@@ -171,12 +173,49 @@ def compute_v(z, r, s_outer):
 def _drop(counters, terms):
     # a leaf the bound dropped after forming ``terms`` terms, counted as
     # step 0 of all four branches stopping
-    counters.branch_nodes[:] = [k + 1 for k in counters.branch_nodes]
+    nodes = counters.branch_nodes
+    nodes[0] += 1
+    nodes[1] += 1
+    nodes[2] += 1
+    nodes[3] += 1
     counters.mults += 10 * terms
     counters.divs += terms
     return None, None, math.inf
 
 
+# The parts of parallel_decisions written out once per branch {b} = a, b, c,
+# d, in branch order, on the rows {i1} and {i2} of its pair in COUPLED_DIMS.
+# The bound's term: the s2-role target v2, the S-E order o of s2 and the
+# step 0 term q; a dropped leaf forms no term past the one that drops it.
+_BOUND_TERM = """
+    v2{b}, r22{b} = cancel(z[{i2}], r[{i2}], s_outer), r[{i2}][{i2}]
+    o{b} = se_order(v2{b} / r22{b}, pam)
+    t = v2{b} - r22{b} * o{b}[0]
+    q{b} = t * t
+    if d_outer{terms} > limit:
+        return _drop(counters, {k})"""
+# a kept leaf's branch state: best distance p with its s1 and s2, and, 0
+# and 0.0 while the branch runs, its steps n and its minimum f once stopped
+_STATE = """
+    r11{b}, r12{b}, p{b}, s1{b}, s2{b} = r[{i1}][{i1}], r[{i1}][{i2}], math.inf, None, None
+    n{b}, f{b} = 0, 0.0"""
+_STEP = """
+        if not n{b}:
+            s2 = o{b}[j]
+            if j:  # step 0 reuses the bound's term
+                t = v2{b} - r22{b} * s2
+                q{b} = t * t
+            if q{b} > p{b} or q{b} + finished + d_outer > radius:
+                n{b}, f{b}, live = j + 1, p{b}, live - 1
+                finished = fa + fb + fc + fd
+            else:
+                cross = r12{b} * s2
+                s1 = slice_pam((v1{b} - cross) / r11{b}, pam)
+                resid = v1{b} - r11{b} * s1 - cross
+                d_full = resid * resid + q{b}
+                if d_full < p{b}:
+                    p{b}, s1{b}, s2{b} = d_full, s1, s2"""
+_PARALLEL_DECISIONS = '''
 def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     """Four synchronized 2-dim PAM searches; returns ``(a_hat, b_hat, d_p)``.
 
@@ -224,90 +263,49 @@ def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     slice-and-update reads only its own state, so each live branch runs its
     whole step j (stop test, then slice and update) before the next one in
     branch order; that gives what running every stop test of step j before
-    any update would.  The sum of the finished branches' minima is kept
-    between tests and recomputed in branch order when a branch stops, so it
-    is the same float a fresh sum would give; the counters are summed
-    locally and added once.
+    any update would.  The function is written out from one template per
+    part, one block per branch in branch order, so every branch's state is
+    in locals.  A finished branch's minimum joins the sum of the finished
+    ones, kept between tests, as one of four terms that are 0.0 while their
+    branch runs, summed in branch order when a branch stops: the same float
+    a fresh sum over the finished branches would give.  The counters are
+    summed locally and added once.
     """
     n = pam.order
-    limit = radius * _BOUND_SLACK
-    # the bound's four terms written out, so that a dropped leaf builds no
-    # per-branch state and forms no term past the one that drops it
-    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = COUPLED_DIMS
-    va, ra = cancel(z[a2], r[a2], s_outer), r[a2][a2]
-    oa = se_order(va / ra, pam)
-    ta = va - ra * oa[0]
-    qa = ta * ta
-    if d_outer + qa > limit:
-        return _drop(counters, 1)
-    vb, rb = cancel(z[b2], r[b2], s_outer), r[b2][b2]
-    ob = se_order(vb / rb, pam)
-    tb = vb - rb * ob[0]
-    qb = tb * tb
-    if d_outer + qa + qb > limit:
-        return _drop(counters, 2)
-    vc, rc = cancel(z[c2], r[c2], s_outer), r[c2][c2]
-    oc = se_order(vc / rc, pam)
-    tc = vc - rc * oc[0]
-    qc = tc * tc
-    if d_outer + qa + qb + qc > limit:
-        return _drop(counters, 3)
-    vd, rd = cancel(z[d2], r[d2], s_outer), r[d2][d2]
-    od = se_order(vd / rd, pam)
-    td = vd - rd * od[0]
-    qd = td * td
-    if d_outer + qa + qb + qc + qd > limit:
-        return _drop(counters, 4)
-    v1a, v1b, v1c, v1d = compute_v(z, r, s_outer)
-    # one list per branch: v1, r11, r12, v2, r22, S-E order of s2, its step 0
-    # term, then its state: best distance, its s1 and s2, steps once stopped
-    branches = [[v1a, r[a1][a1], r[a1][a2], va, ra, oa, qa, math.inf, None, None, 0],
-                [v1b, r[b1][b1], r[b1][b2], vb, rb, ob, qb, math.inf, None, None, 0],
-                [v1c, r[c1][c1], r[c1][c2], vc, rc, oc, qc, math.inf, None, None, 0],
-                [v1d, r[d1][d1], r[d1][d2], vd, rd, od, qd, math.inf, None, None, 0]]
-    live = branches.copy()
-    finished = 0.0  # sum of the finished branches' minima, in branch order
-    for j in range(n):
-        i = 0
-        while i < len(live):
-            br = live[i]
-            v1, r11, r12, v2, r22, order, tau, p, _, _, _ = br
-            s2 = order[j]
-            if j:  # step 0 reuses the bound's term
-                t = v2 - r22 * s2
-                tau = t * t
-            if tau > p or tau + finished + d_outer > radius:
-                br[10] = j + 1
-                del live[i]
-                finished = 0.0
-                for other in branches:
-                    if other[10]:
-                        finished += other[7]
-                continue
-            cross = r12 * s2
-            s1 = slice_pam((v1 - cross) / r11, pam)
-            resid = v1 - r11 * s1 - cross
-            d_full = resid * resid + tau
-            if d_full < p:
-                br[7] = d_full
-                br[8] = s1
-                br[9] = s2
-            i += 1
+    limit = radius * _BOUND_SLACK{bound}
+    v1a, v1b, v1c, v1d = compute_v(z, r, s_outer){state}
+    finished, live = 0.0, 4  # finished: the minima of the stopped branches
+    for j in range(n):{steps}
         if not live:
             break
 
     steps = 0
-    for b, br in enumerate(branches):
-        ran = br[10] or n  # a branch that never stopped ran every step
-        counters.branch_nodes[b] += ran
+    nodes = counters.branch_nodes
+    for b, ran in enumerate((na, nb, nc, nd)):
+        ran = ran or n  # a branch that never stopped ran every step
+        nodes[b] += ran
         steps += ran
-    decided = steps - (4 - len(live))  # every step but a stopping one slices s1
+    decided = steps - (4 - live)  # every step but a stopping one slices s1
     counters.mults += 40 + 32 + 2 * (steps - 4) + 3 * decided  # bound, s1 targets, steps
     counters.divs += 4 + decided
-    b0, b1, b2, b3 = branches
-    a_hat = (b0[8], b1[8], b0[9], b1[9])
-    b_hat = (b2[8], b3[8], b2[9], b3[9])
-    return a_hat, b_hat, b0[7] + b1[7] + b2[7] + b3[7]
+    return (s1a, s1b, s2a, s2b), (s1c, s1d, s2c, s2d), pa + pb + pc + pd
+'''
+
+
+def _write_out():
+    fields = [dict(b=b, i1=i1, i2=i2, k=k + 1, terms="".join(f" + q{x}" for x in "abcd"[:k + 1]))
+              for k, (b, (i1, i2)) in enumerate(zip("abcd", COUPLED_DIMS))]
+    parts = {"bound": _BOUND_TERM, "state": _STATE, "steps": _STEP}
+    src = _PARALLEL_DECISIONS.format(**{name: "".join(part.format(**f) for f in fields)
+                                         for name, part in parts.items()})
+    space = {}
+    # with this module's globals, so se_order and compute_v are looked up
+    # here at each call
+    exec(src, globals(), space)
+    return space["parallel_decisions"]
+
+
+parallel_decisions = _write_out()
 
 
 def simplified_ml(y, h_eq, constellation, switch_mode, counters):
@@ -330,9 +328,9 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
     decode order; without one, no estimate is needed.  Only the permuted
     channel ``H_eq P`` is then factored, once, in one Householder pass that
     also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
-    search finds its S-E orders from R and ``z`` by table lookup
-    (:func:`~.sphere.tree_search`), and the decided vector is put back in
-    canonical order by the switch's column map.  ``counters`` is charged
+    search builds its S-E orders from R and ``z`` once per decode or per
+    parent value (:func:`~.sphere.tree_search`), and the decided vector is
+    put back in canonical order by the switch's column map.  ``counters`` is charged
     what runs: one factorization and rotation, whatever the order
     (:func:`~mimo3d.counters.charge_rotation`), plus, with a switch, the LU
     solve and the slicing errors (:func:`~mimo3d.counters.charge_zf_switch`).
@@ -351,15 +349,9 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
     pam = constellation.pam
     rows = qr.r.tolist()
     z = qr.z.tolist()
-    # What the leaf's five cells (z, counters, decide, rows, pam) and
-    # tree_search's inputs hold is left to the cyclic GC with the search's
-    # reference cycle, and the sweep benchmark reads a change in that count
-    # as a change in speed (tests/test_decoders.py,
-    # test_per_decode_cyclic_garbage), so they stay as they are.
-    decide = parallel_decisions
 
     def leaf(s_outer, d_leaf, radius):
-        a_hat, b_hat, d_p = decide(s_outer, rows, radius, d_leaf, pam, counters, z)
+        a_hat, b_hat, d_p = parallel_decisions(s_outer, rows, radius, d_leaf, pam, counters, z)
         return d_p, (a_hat, b_hat)
 
     best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters)

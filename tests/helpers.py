@@ -264,6 +264,71 @@ def centred_search_reference(z, r, pam, counters):
     return best, radius
 
 
+def tree_search_reference(z, r, pam, leaf_fn, counters):
+    """The two-stage tree search as a recursive closure over a per-decode
+    table.  Level i's entry, ``acc`` and its S-E order, is built on first
+    use: once per decode for a diagonal row (``acc = z_i``, one division),
+    once per value of s_j for a row coupled to level j in ``COUPLED_DIMS``
+    (``acc = z_i - r_ij s_j``, one mult and one division).  The children
+    come in that order, the loop cut at the first one outside the radius;
+    2 mults per evaluated child, charged after the search.  A leaf goes
+    through ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)`` and moves the
+    radius to ``d_leaf + d_p`` on strict improvement only.  Returns
+    ``(best_s, best_payload, best_distance)``, as
+    :func:`~mimo3d.decoders.sphere.tree_search`."""
+    coupled = dict(COUPLED_DIMS)
+    rows = np.asarray(r, dtype=float).tolist()
+    z = np.asarray(z, dtype=float).ravel().tolist()
+    n = len(z)
+    s = [0.0] * n
+    # entry of level i under parent PAM index k (0 for a diagonal row): acc
+    # at 2 * (order * i + k), the S-E order one slot up; None until built
+    table = [None] * (2 * pam.order * n)
+    radius = math.inf
+    best = best_payload = None
+
+    def descend(i, dist):
+        nonlocal radius, best, best_payload
+        row = rows[i]
+        rii = row[i]
+        at = 2 * pam.order * i
+        j = coupled.get(i)
+        if j is not None:
+            at += 2 * pam.level_tuple.index(s[j])
+        children = table[at + 1]
+        if children is None:
+            acc = z[i] if j is None else z[i] - row[j] * s[j]
+            children = table[at + 1] = se_order(acc / rii, pam)
+            table[at] = acc
+            counters.mults += j is not None
+            counters.divs += 1
+        else:
+            acc = table[at]
+        for cand in children:
+            s[i] = cand
+            counters.tree_nodes += 1
+            resid = acc - rii * cand
+            d_new = dist + resid * resid
+            if d_new < radius:
+                if i:
+                    descend(i - 1, d_new)
+                    continue
+                counters.leaves += 1
+                d_p, payload = leaf_fn(s, d_new, radius)
+                d_total = d_new + d_p
+                if d_total < radius:
+                    radius = d_total
+                    best = s.copy()
+                    best_payload = payload
+            else:
+                break
+
+    nodes = counters.tree_nodes
+    descend(n - 1, 0.0)
+    counters.mults += 2 * (counters.tree_nodes - nodes)
+    return best, best_payload, radius
+
+
 def column_switch_reference(s_zf, h_eq, mode, constellation):
     """The column switch on NumPy complex scalars: each slicing error is
     ``abs(nearest_qam(v) - v) ** 2`` of a complex128 entry, and the columns

@@ -17,6 +17,7 @@ from helpers import (
     random_branch_fixture,
     random_instance,
     tree_pattern_r,
+    tree_search_reference,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -868,6 +869,60 @@ def test_centred_search_equals_the_recursive_reference(seed, n, m, k, data):
     assert got == want
 
 
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 8]), m=st.sampled_from([4, 16, 64]),
+       k=st.integers(-40, 40), data=st.data())
+def test_tree_search_equals_the_recursive_reference(seed, n, m, k, data):
+    """The generated tree search runs the recursive table search node for
+    node: the same leaf calls, best point, payload, distance bits and
+    counters.  R has the tree block's pattern with a diagonal of ones and
+    twos, and everything is scaled by 2^k.  Level i's centre is on a PAM
+    level or at a random offset from one, along the path of the levels
+    nearest each centre.  At up to four levels the centre is an exact tie
+    instead, a midpoint from ``EXACT_TIES`` (row i's coupling zeroed), at
+    every node.  The leaf hook's ``d_p`` depends on the leaf and the
+    radius: a squared PAM spacing at the first leaf, which keeps the sphere
+    wide, then 0, a quarter of that, or ``radius - d_leaf``, whose total
+    ties the radius, so that only the strict-improvement rule keeps the
+    leaf found first."""
+    pam = QAMS[m].pam
+    levels = pam.level_tuple
+    offsets = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ties = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    rng = derive_rng(seed)
+    couples = dict(COUPLED_DIMS)
+    r = np.diag(2.0 ** rng.integers(0, 2, n))
+    s = [0.0] * n
+    z = np.zeros(n)
+    for i in reversed(range(n)):
+        j = int(rng.integers(0, len(levels) - 1))
+        if i in couples:
+            r[i, couples[i]] = 0.0 if i in ties else rng.standard_normal()
+        if i in ties:
+            t, s[i] = EXACT_TIES[m][j % len(EXACT_TIES[m])]
+        else:
+            s[i] = levels[j]
+            t = levels[j] + (rng.uniform(-0.5, 0.5) * pam.spacing if offsets[i] else 0.0)
+        z[i] = r[i, i] * t + r[i, i + 1:] @ s[i + 1:]
+    r, z = r * 2.0**k, z * 2.0**k
+    wide = (pam.spacing * 2.0**k) ** 2  # a radius that keeps about one level each side
+
+    def hook(calls):
+        def leaf(s, d_leaf, radius):
+            calls.append((tuple(s), struct.pack("dd", d_leaf, radius)))
+            kind = sum(levels.index(x) * (i + 1) for i, x in enumerate(s)) % 3
+            d_p = wide if radius == math.inf else (0.0, radius - d_leaf, wide / 4)[kind]
+            return d_p, (tuple(s), kind)
+        return leaf
+
+    runs = []
+    for search in (tree_search, tree_search_reference):
+        calls, c = [], OpCounters()
+        best, payload, dist = search(z, r, pam, hook(calls), c)
+        runs.append((best, payload, struct.pack("d", dist), c, calls))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("order", ["centred", "tables"])
 def test_tree_search_runs_on_plain_floats(order):
     # NumPy z and R go in; every distance and symbol the searches hand out is
@@ -1086,19 +1141,19 @@ def test_search_decoders_are_certified_ml(m, seed, k, data):
 
 # objects one decode leaves to the cyclic GC, by decoder; a test parameter,
 # not part of the test id, so that an intended change renames no test
-GARBAGE = {"sd-baseline": 3, "simplified": 57, "simplified-cs4": 57, "simplified-cs2": 57}
+GARBAGE = {"sd-baseline": 3, "simplified": 3, "simplified-cs4": 3, "simplified-cs2": 3}
 
 
 @pytest.mark.parametrize("name", GARBAGE)
 def test_per_decode_cyclic_garbage(name):
     """Pins how many gc-tracked objects one decode leaves in generation 0.
 
-    The two-stage search's recursive closure (``tree_search``) is a
-    reference cycle, so what it holds is left to the cyclic GC; the
-    generated search of ``sd-baseline`` leaves none.  The sweep
-    benchmark's speed probe, which runs
-    with gc enabled, reads any change in this count as a 2-3x change in
-    speed.  The test goes when the probe runs with gc off (ROADMAP item 1).
+    Both searches are generated nested loops, so no decoder leaves a
+    closure cycle: a decode leaves its result, the result's counters and
+    their ``branch_nodes`` list.  The sweep benchmark's speed probe, which
+    runs with gc enabled, reads any change in this count as a 2-3x change
+    in speed.  The test goes when the probe runs with gc off (ROADMAP item
+    1).
     """
     decode = get_decoder(name)
     for m, snr_db in ((4, 0.0), (16, 12.0), (64, 40.0)):

@@ -449,7 +449,7 @@ def test_cli_reports_bad_arguments_as_usage_errors(argv, word, tmp_path, monkeyp
     assert not (tmp_path / "cli.csv").exists()
 
 
-@pytest.mark.parametrize("out", ["no/such/dir/x.csv", "."])
+@pytest.mark.parametrize("out", ["no/such/dir/x.csv", ".", ""])
 def test_cli_refuses_an_unwritable_out_before_the_sweep(out, tmp_path, monkeypatch, capsys):
     # a directory, or a file in a missing directory, is refused before the
     # first trial, not after the whole sweep when write_csv opens it
