@@ -12,7 +12,7 @@ splits into:
   on at most one decided level.  Its exact S-E order is built once per
   decode or once per value of that level (no per-node division), and each
   sibling loop stops at the first child outside the adaptive radius;
-* at each surviving leaf, as the search's leaf hook, four *parallel
+* at each surviving leaf, called by the search directly, four *parallel
   decisions*: independent 2-dim PAM searches for (s1R,s2R), (s1I,s2I),
   (s3R,s4R), (s3I,s4I) on the interference-cancelled targets v, each a
   one-level S-E loop over the "s2-role" symbol with conditional slicing of
@@ -29,7 +29,8 @@ splits into:
   recorded distances of already-finished branches and the outer distance
   exceeds the sphere radius.  :func:`parallel_decisions` is written out
   from one template per part, one block per branch, with every branch's
-  state in locals.
+  state in locals and the targets, slices and S-E orders inline: a leaf
+  calls no package function but :func:`compute_v`, once if the bound keeps it.
 
 The worst case is sqrt(M)^8 = M^4 tree leaves with sqrt(M) candidates per
 branch per leaf, i.e. O(M^4.5) against O(M^8) for plain exhaustive search.
@@ -55,7 +56,8 @@ from ..linalg import (
     back_substitute,  # noqa: F401
     gram_schmidt_qr,
 )
-from ..modem import se_order, slice_pam
+# se_order: uncalled here, kept only for bench/tracing.py's COUNT_TARGETS, as back_substitute for SPAN_TARGETS
+from ..modem import se_order, slice_pam  # noqa: F401
 from .sphere import tree_search
 from .structure import COUPLED_DIMS, REL_TOL, two_stage_zeros
 
@@ -170,35 +172,40 @@ def compute_v(z, r, s_outer):
             cancel(z[c1], r[c1], s_outer), cancel(z[d1], r[d1], s_outer))
 
 
-def _drop(counters, terms):
-    # a leaf the bound dropped after forming ``terms`` terms, counted as
-    # step 0 of all four branches stopping
-    nodes = counters.branch_nodes
-    nodes[0] += 1
-    nodes[1] += 1
-    nodes[2] += 1
-    nodes[3] += 1
-    counters.mults += 10 * terms
-    counters.divs += terms
-    return None, None, math.inf
-
-
 # The parts of parallel_decisions written out once per branch {b} = a, b, c,
 # d, in branch order, on the rows {i1} and {i2} of its pair in COUPLED_DIMS.
-# The bound's term: the s2-role target v2, the S-E order o of s2 and the
-# step 0 term q; a dropped leaf forms no term past the one that drops it.
+# The bound's term: the s2-role target v2, the index i of the level nearest
+# e = v2 / r22 and the step 0 term q.  Slicing follows slice_pam's rule; an
+# estimate past an outer level takes the neighbour comparison's side.  A
+# dropped leaf forms no term past the one that drops it, and is counted as
+# step 0 of all four branches stopping.
 _BOUND_TERM = """
-    v2{b}, r22{b} = cancel(z[{i2}], r[{i2}], s_outer), r[{i2}][{i2}]
-    o{b} = se_order(v2{b} / r22{b}, pam)
-    t = v2{b} - r22{b} * o{b}[0]
+    row = r[{i2}]  # cancel's chain on s_outer's locals
+    v2{b}, r22{b} = (z[{i2}] - row[8] * x0 - row[9] * x1 - row[10] * x2 - row[11] * x3 - row[12] * x4
+                     - row[13] * x5 - row[14] * x6 - row[15] * x7), row[{i2}]
+    e{b} = v2{b} / r22{b}
+    i{b} = int((e{b} - lo) // spacing) if e{b} > lo else 0
+    if i{b} >= last:
+        i{b} = last - 1
+    if e{b} - levels[i{b}] > levels[i{b} + 1] - e{b}:
+        i{b} += 1
+    t = v2{b} - r22{b} * levels[i{b}]
     q{b} = t * t
     if d_outer{terms} > limit:
-        return _drop(counters, {k})"""
-# a kept leaf's branch state: best distance p with its s1 and s2, and, 0
-# and 0.0 while the branch runs, its steps n and its minimum f once stopped
+        nodes = counters.branch_nodes
+        nodes[0], nodes[1], nodes[2], nodes[3] = nodes[0] + 1, nodes[1] + 1, nodes[2] + 1, nodes[3] + 1
+        counters.mults += 10 * {k}
+        counters.divs += {k}
+        return None, None, math.inf"""
+# a kept leaf's branch state: the S-E order o of s2 by se_order's rule, best
+# distance p with its s1 and s2, and, 0 and 0.0 while the branch runs, its
+# steps n and its minimum f once stopped
 _STATE = """
+    lower, upper = se_orders[i{b}]
+    o{b} = upper if 0 < i{b} < last and e{b} - levels[i{b} - 1] > levels[i{b} + 1] - e{b} else lower
     r11{b}, r12{b}, p{b}, s1{b}, s2{b} = r[{i1}][{i1}], r[{i1}][{i2}], math.inf, None, None
     n{b}, f{b} = 0, 0.0"""
+# step j of a live branch; s1 is sliced by slice_pam's rule
 _STEP = """
         if not n{b}:
             s2 = o{b}[j]
@@ -210,7 +217,11 @@ _STEP = """
                 finished = fa + fb + fc + fd
             else:
                 cross = r12{b} * s2
-                s1 = slice_pam((v1{b} - cross) / r11{b}, pam)
+                e = (v1{b} - cross) / r11{b}
+                k = int((e - lo) // spacing) if e > lo else 0
+                if k >= last:
+                    k = last - 1
+                s1 = levels[k + 1] if e - levels[k] > levels[k + 1] - e else levels[k]
                 resid = v1{b} - r11{b} * s1 - cross
                 d_full = resid * resid + q{b}
                 if d_full < p{b}:
@@ -237,8 +248,9 @@ def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     level nearest ``v2 / r22``), is compared with the radius.  Each branch
     distance is at least its ``s2`` term, and that term is smallest at the
     nearest level, so the bound is at most ``d_outer + d_p``.  It is formed
-    branch by branch (the s2-role target, its estimate and S-E order, the
-    term), and the leaf returns ``(None, None, inf)`` at the first running
+    branch by branch (the s2-role target, its estimate, the index of the
+    nearest level, the term), and the leaf returns ``(None, None, inf)``,
+    counted as step 0 of all four branches stopping, at the first running
     sum ``((d_outer + t_a^2) + t_b^2) + ...`` that exceeds ``radius`` by the
     relative margin ``1e-12``.  Adding a non-negative term never lowers a
     rounded sum, so the running sums only grow: a leaf is dropped exactly
@@ -248,7 +260,8 @@ def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     side, so rounding can only keep a leaf, never drop one.  An infinite
     radius (the first leaf) never drops a leaf, and the radius tests are
     both off.  Only a kept leaf forms its s1-role targets
-    (:func:`compute_v`); its branches reuse the bound's terms at step 0.
+    (:func:`compute_v`) and its S-E orders; its branches reuse the bound's
+    terms at step 0.
 
     ``a_hat`` is [s1R, s1I, s2R, s2I] and ``b_hat`` [s3R, s3I, s4R, s4I];
     ``d_p`` is the sum of branch minima (infinite if a branch was cut off
@@ -265,14 +278,21 @@ def parallel_decisions(s_outer, r, radius, d_outer, pam, counters, z):
     branch order; that gives what running every stop test of step j before
     any update would.  The function is written out from one template per
     part, one block per branch in branch order, so every branch's state is
-    in locals.  A finished branch's minimum joins the sum of the finished
-    ones, kept between tests, as one of four terms that are 0.0 while their
-    branch runs, summed in branch order when a branch stops: the same float
-    a fresh sum over the finished branches would give.  The counters are
+    in locals, as are ``s_outer`` and the ``PamSet`` fields.  The s2-role
+    targets are :func:`cancel`'s chain, the slices follow
+    :func:`~mimo3d.modem.slice_pam`'s rule and the S-E orders
+    :func:`~mimo3d.modem.se_order`'s, written inline with the same bits.  A
+    finished branch's minimum joins the sum of the finished ones, kept
+    between tests, as one of four terms that are 0.0 while their branch
+    runs, summed in branch order when a branch stops: the same float a
+    fresh sum over the finished branches would give.  The counters are
     summed locally and added once.
     """
-    n = pam.order
+    levels, spacing, last = pam.level_tuple, pam.spacing, pam.order - 1
+    lo = levels[0]  # slice_pam's first test
+    x0, x1, x2, x3, x4, x5, x6, x7 = s_outer
     limit = radius * _BOUND_SLACK{bound}
+    n, se_orders = last + 1, pam.se_orders
     v1a, v1b, v1c, v1d = compute_v(z, r, s_outer){state}
     finished, live = 0.0, 4  # finished: the minima of the stopped branches
     for j in range(n):{steps}
@@ -299,8 +319,7 @@ def _write_out():
     src = _PARALLEL_DECISIONS.format(**{name: "".join(part.format(**f) for f in fields)
                                          for name, part in parts.items()})
     space = {}
-    # with this module's globals, so se_order and compute_v are looked up
-    # here at each call
+    # with this module's globals, so compute_v is looked up here at each call
     exec(src, globals(), space)
     return space["parallel_decisions"]
 
@@ -329,7 +348,8 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
     channel ``H_eq P`` is then factored, once, in one Householder pass that
     also rotates ``y`` (:func:`~mimo3d.linalg.gram_schmidt_qr`).  The tree
     search builds its S-E orders from R and ``z`` once per decode or per
-    parent value (:func:`~.sphere.tree_search`), and the decided vector is
+    parent value (:func:`~.sphere.tree_search`) and calls this module's
+    :func:`parallel_decisions` at every leaf; the decided vector is
     put back in canonical order by the switch's column map.  ``counters`` is charged
     what runs: one factorization and rotation, whatever the order
     (:func:`~mimo3d.counters.charge_rotation`), plus, with a switch, the LU
@@ -347,14 +367,10 @@ def simplified_ml(y, h_eq, constellation, switch_mode, counters):
         raise ValueError("h_eq lacks the R zero structure of the 'new' codeword ordering")
 
     pam = constellation.pam
-    rows = qr.r.tolist()
-    z = qr.z.tolist()
-
-    def leaf(s_outer, d_leaf, radius):
-        a_hat, b_hat, d_p = parallel_decisions(s_outer, rows, radius, d_leaf, pam, counters, z)
-        return d_p, (a_hat, b_hat)
-
-    best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, leaf, counters)
+    rows, z = qr.r.tolist(), qr.z.tolist()  # the leaf stage's R and z
+    # the leaf stage as looked up now, so a replaced global sees every leaf
+    best_outer, (a_hat, b_hat), _ = tree_search(qr.z[8:], qr.r[8:, 8:], pam, parallel_decisions,
+                                                counters, rows, z)
     decided = np.empty(16)  # interleaved, canonical order: the columns undo the switch
     decided[_COLUMNS[order]] = (*a_hat, *b_hat, *best_outer)
     return decided

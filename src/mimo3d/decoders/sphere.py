@@ -21,9 +21,9 @@ in how a level finds its centre:
 
 :func:`sd_baseline` is the classical 16-level real-valued search, centred,
 run to completion, hence exactly ML.  The two-stage decoder
-(:mod:`.simplified`) runs :func:`tree_search` over its 8 tree dimensions and
-hands every leaf to its parallel decisions, which first drop a leaf whose
-lower bound shows it cannot beat the radius.
+(:mod:`.simplified`) runs :func:`tree_search` over its 8 tree dimensions,
+which calls its parallel decisions at every leaf directly; they first drop
+a leaf whose lower bound shows it cannot beat the radius.
 """
 
 from __future__ import annotations
@@ -56,12 +56,14 @@ def _search(n, tree):
     mult for each entry of ``r`` in ``acc``; per evaluated child, 2 mults.
     CPython nests at most 20 loops.
     """
+    if tree and n not in (4, 8):
+        raise ValueError(f"tree_search needs a block of 4 or 8 levels, not {n}")
     couples = dict(COUPLED_DIMS) if tree else {}
     reads = [[k for k in range(i + 1, n) if not tree or k == couples.get(i)] for i in range(n)]
     lazy = [i for i in range(n) if not tree or i in couples]  # counted in e_i
     triangle = ", ".join(f"({''.join(f'r{i}_{k}, ' if k == i or k in reads[i] else '_, ' for k in range(n))})"
                          for i in range(n))
-    src = [f"def search(z, r, pam, {'leaf_fn, ' if tree else ''}counters):",
+    src = [f"def search(z, r, pam, {'leaf_fn, ' if tree else ''}counters{', leaf_r, leaf_z' if tree else ''}):",
            f"    {''.join(f'z{i}, ' for i in range(n))}= z.tolist()",
            f"    {triangle}, = r.tolist()",
            f"    radius, best, best_payload, nodes, leaves, d{n} = math.inf, None, None, 0, 0, 0.0",
@@ -101,9 +103,9 @@ def _search(n, tree):
     if tree:
         src += [f"{pad}leaves += 1",
                 f"{pad}s = {point}",
-                f"{pad}d_p, payload = leaf_fn(s, d0, radius)",
+                f"{pad}a, b, d_p = leaf_fn(s, leaf_r, radius, d0, pam, counters, leaf_z)",
                 f"{pad}if d0 + d_p < radius:",
-                f"{pad}    radius, best, best_payload = d0 + d_p, s, payload"]
+                f"{pad}    radius, best, best_payload = d0 + d_p, s, (a, b)"]
     else:
         src += [f"{pad}leaves += 1", f"{pad}radius = d0", f"{pad}best = {point}"]
     built = [str(n - len(lazy))] * (len(lazy) < n) + [f"e{i}" for i in lazy]
@@ -129,7 +131,7 @@ def centred_search(n):
     return _search(n, False)
 
 
-def tree_search(z, r, pam, leaf_fn, counters):
+def tree_search(z, r, pam, leaf_fn, counters, leaf_r, leaf_z):
     """Depth-first search of ``min ||z - R s||^2`` over the two-stage
     decoder's tree block of ``n`` = 8 levels (or its leading 4), run by the
     function the generator of :func:`centred_search` writes once per ``n``
@@ -151,17 +153,19 @@ def tree_search(z, r, pam, leaf_fn, counters):
     structural zeros of ``r``.
 
     Every evaluated child costs 2 mults, charged once after the search.  A
-    full-depth candidate inside the radius is a leaf; ``leaf_fn(s, d_leaf,
-    radius) -> (d_p, payload)`` completes it, ``s`` a fresh list, and the
-    radius becomes ``d_leaf + d_p`` on strict improvement only, so ties keep
-    the first solution found.  ``z`` and ``r`` are converted once to plain
-    Python floats, so the per-node arithmetic (and ``d_leaf``, ``radius``
-    and the returned distance) never goes through NumPy scalars.
+    full-depth candidate inside the radius is a leaf, handed straight to
+    ``leaf_fn(s, leaf_r, radius, d_leaf, pam, counters, leaf_z) -> (a, b,
+    d_p)``, the parallel decisions' own signature (``s`` a fresh list).
+    The radius becomes ``d_leaf + d_p`` on strict improvement only, so ties
+    keep the first solution found.  ``z`` and ``r`` are converted once to
+    plain Python floats, so the per-node arithmetic (and ``d_leaf``,
+    ``radius`` and the returned distance) never goes through NumPy scalars.
 
-    Returns ``(best_s, best_payload, best_distance)``.
+    Returns ``(best_s, (a, b), best_distance)``.  A block of any size but 4
+    or 8 raises :class:`ValueError`.
     """
     z = np.asarray(z, dtype=float).ravel()
-    return _search(len(z), True)(z, np.asarray(r, dtype=float), pam, leaf_fn, counters)
+    return _search(len(z), True)(z, np.asarray(r, dtype=float), pam, leaf_fn, counters, leaf_r, leaf_z)
 
 
 def sd_baseline(z_tilde, r, constellation, counters):

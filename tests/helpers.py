@@ -131,7 +131,8 @@ def leaf_bound(v, r, d_outer, pam):
     return leaf_bound_sums(v, r, d_outer, pam)[-1]
 
 
-def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_branch_stop=True):
+def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_branch_stop=True,
+                                order_fn=se_order_walk):
     """The four parallel branches as a two-pass lockstep: every live branch
     takes its stop test for step j, then every still-live branch slices and
     updates, and the finished branches are summed afresh at every test.
@@ -142,7 +143,8 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
     term up to the first running sum past that margin.  A kept leaf is
     charged all four terms and 32 mults for its s1 targets, and its step 0
     ``s2`` terms are the bound's.  ``cross_branch_stop=False`` turns both
-    radius tests off, as an infinite radius does."""
+    radius tests off, as an infinite radius does.  The S-E order of each
+    s2 comes from ``order_fn``, the walk unless a caller names another."""
     c = counters
     limit = radius * (1 + 1e-12)
     formed = 4
@@ -160,7 +162,7 @@ def parallel_decisions_lockstep(v, r, radius, d_outer, pam, counters, cross_bran
         r11 = float(r[i1][i1])
         r12 = float(r[i1][i2])
         r22 = float(r[i2][i2])
-        order = se_order_walk(float(v[i2]) / r22, pam)
+        order = order_fn(float(v[i2]) / r22, pam)
         branches.append((float(v[i1]), float(v[i2]), r11, r12, r22, order))
 
     active = [True] * 4
@@ -264,7 +266,7 @@ def centred_search_reference(z, r, pam, counters):
     return best, radius
 
 
-def tree_search_reference(z, r, pam, leaf_fn, counters):
+def tree_search_reference(z, r, pam, leaf_fn, counters, leaf_r, leaf_z):
     """The two-stage tree search as a recursive closure over a per-decode
     table.  Level i's entry, ``acc`` and its S-E order, is built on first
     use: once per decode for a diagonal row (``acc = z_i``, one division),
@@ -272,9 +274,9 @@ def tree_search_reference(z, r, pam, leaf_fn, counters):
     (``acc = z_i - r_ij s_j``, one mult and one division).  The children
     come in that order, the loop cut at the first one outside the radius;
     2 mults per evaluated child, charged after the search.  A leaf goes
-    through ``leaf_fn(s, d_leaf, radius) -> (d_p, payload)`` and moves the
-    radius to ``d_leaf + d_p`` on strict improvement only.  Returns
-    ``(best_s, best_payload, best_distance)``, as
+    through ``leaf_fn(s, leaf_r, radius, d_leaf, pam, counters, leaf_z) ->
+    (a, b, d_p)`` and moves the radius to ``d_leaf + d_p`` on strict
+    improvement only.  Returns ``(best_s, (a, b), best_distance)``, as
     :func:`~mimo3d.decoders.sphere.tree_search`."""
     coupled = dict(COUPLED_DIMS)
     rows = np.asarray(r, dtype=float).tolist()
@@ -314,12 +316,12 @@ def tree_search_reference(z, r, pam, leaf_fn, counters):
                     descend(i - 1, d_new)
                     continue
                 counters.leaves += 1
-                d_p, payload = leaf_fn(s, d_new, radius)
+                a, b, d_p = leaf_fn(s, leaf_r, radius, d_new, pam, counters, leaf_z)
                 d_total = d_new + d_p
                 if d_total < radius:
                     radius = d_total
                     best = s.copy()
-                    best_payload = payload
+                    best_payload = a, b
             else:
                 break
 

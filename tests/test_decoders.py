@@ -16,6 +16,8 @@ from helpers import (
     parallel_decisions_lockstep,
     random_branch_fixture,
     random_instance,
+    se_order_walk,
+    slice_index_walk,
     tree_pattern_r,
     tree_search_reference,
 )
@@ -60,9 +62,9 @@ def decide(v, r, radius, d_outer, pam, counters):
     return parallel_decisions([0.0] * 8, r, radius, d_outer, pam, counters, v)
 
 
-def complete(s, d_leaf, radius):
+def complete(s, r, radius, d_leaf, pam, counters, z):
     """A ``tree_search`` leaf hook for a leaf that is complete as it is."""
-    return 0.0, None
+    return None, None, 0.0
 
 
 def all_targets(z, r, s_outer):
@@ -519,6 +521,81 @@ def test_leaf_bound_stops_at_the_first_running_sum_past_the_radius(case):
         assert (counters.mults, counters.divs) == (10 * formed, formed)
 
 
+def _pow2(draw, lo, hi):
+    return 2.0 ** draw(st.integers(lo, hi))
+
+
+def _floats_near(x, ulps):
+    """``x``, then the floats one, two, ... ``ulps`` steps below and above it."""
+    out, below, above = [x], x, x
+    for _ in range(ulps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += (below, above)
+    return out
+
+
+@st.composite
+def slicing_inputs(draw):
+    """(pam, v, R, d_outer, radius, order_fn) for the parallel decisions,
+    with each branch's estimates at an edge of the slice and S-E order
+    rules: ``v2 / r22`` and, at the first S-E candidate of s2, ``(v1 - r12
+    s2) / r11``, each on a level, on a midpoint that is an exact tie
+    (``EXACT_TIES``), one ulp either side of a nonzero one, just inside or
+    beyond an outer level, or +-0.0, each kind drawn about equally often
+    (the S-E order's neighbours tie only on two 64-QAM levels).  The
+    diagonal is powers of two, r12 0 or a signed power of two, and v and R
+    are scaled by a power of two, so each estimate is the drawn float
+    exactly.  With r12 nonzero, v1 is the float
+    within 4 ulps of ``r11 e1 + r12 s2`` that gives the s1 estimate ``e1``
+    exactly, where one does.  ``order_fn`` is the oracle's S-E order:
+    ``se_order`` itself for 64-QAM with a ``v2 / r22`` within an ulp of a
+    level, where the walk may differ, else the walk."""
+    m = draw(st.sampled_from(sorted(PAMS)))
+    pam = PAMS[m]
+    levels = pam.level_tuple
+    ties = tuple(t for t, _ in EXACT_TIES[m])
+    # one ulp off 0.0 is subnormal, which no scale keeps exact
+    ulp_off = tuple(math.nextafter(x, d) for x in levels + ties if x for d in (-math.inf, math.inf))
+    outer = (math.nextafter(levels[0], math.inf), 1.5 * levels[0],
+             math.nextafter(levels[-1], -math.inf), 1.5 * levels[-1])
+    edge = st.one_of(*map(st.sampled_from, (levels, ties, ulp_off, outer, (0.0, -0.0))))
+    near_level = set(levels + ulp_off[:2 * len(levels)])
+    r = np.zeros((16, 16))
+    v = np.zeros(8)
+    near = False
+    for i1, i2 in COUPLED_DIMS:
+        r11, r22 = _pow2(draw, -3, 3), _pow2(draw, -3, 3)
+        r12 = draw(st.sampled_from((0.0, -1.0, 1.0))) * _pow2(draw, -3, 3)
+        e2, e1 = draw(edge), draw(edge)
+        near |= e2 in near_level
+        cross = r12 * levels[slice_index_walk(e2, pam)]
+        v1 = next((x for x in _floats_near(e1 * r11 + cross, 4) if (x - cross) / r11 == e1),
+                  e1 * r11 + cross)
+        r[i1, i1], r[i1, i2], r[i2, i2] = r11, r12, r22
+        v[i1], v[i2] = v1, e2 * r22
+    scale = _pow2(draw, -60, 60)
+    v, r = v * scale, r * scale
+    free = parallel_decisions_lockstep(v, r, math.inf, 0.0, pam, OpCounters())[2]
+    d_outer = free * draw(st.sampled_from((0.0, 0.5)) | st.floats(0.0, 1.0))
+    radius = draw(st.none() | st.floats(0.0, 1.5).map(lambda share: d_outer + free * share))
+    order_fn = se_order if m == 64 and near else se_order_walk
+    return pam, v, r, d_outer, math.inf if radius is None else radius, order_fn
+
+
+@settings(max_examples=400)
+@given(slicing_inputs())
+def test_parallel_decisions_slice_and_se_order_at_their_edges(case):
+    # the written-out slice and S-E order against the lockstep oracle's
+    # slicer and order: decisions, d_p bits and every counter
+    pam, v, r, d_outer, radius, order_fn = case
+    got_c, want_c = OpCounters(), OpCounters()
+    got = decide(v, r, radius, d_outer, pam, got_c)
+    want = parallel_decisions_lockstep(v, r, radius, d_outer, pam, want_c, order_fn=order_fn)
+    assert got[:2] == want[:2]
+    assert struct.pack("d", got[2]) == struct.pack("d", want[2])
+    assert got_c == want_c
+
+
 def test_compute_v_runs_only_for_kept_leaves(monkeypatch):
     # the s1-role targets are formed once per leaf the bound keeps, and
     # never for a dropped one
@@ -614,7 +691,7 @@ def test_tree_search_relative_rank_rule():
         return centred_search(8)(z, r, QPSK.pam, OpCounters())
 
     def tables(z, r):
-        best, _, dist = tree_search(z, r, QPSK.pam, complete, OpCounters())
+        best, _, dist = tree_search(z, r, QPSK.pam, complete, OpCounters(), None, None)
         return best, dist
 
     for search in (centred, tables):
@@ -756,10 +833,10 @@ def test_tree_search_toy_trace():
     r = math.sqrt(2.0) * np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.5],
                                    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     z = [0.1, 0.45, -0.9, 0.25]
-    best, payload, radius = tree_search(z, r, QPSK.pam, complete, counters)
+    best, payload, radius = tree_search(z, r, QPSK.pam, complete, counters, None, None)
     a = QPSK.pam.level_tuple[1]
     assert best == [a, -a, -a, a]
-    assert payload is None
+    assert payload == (None, None)
     assert abs(radius - 1.635) < 1e-12
     assert counters.tree_nodes == 13
     assert counters.leaves == 1
@@ -797,7 +874,7 @@ def test_table_policy_matches_centred_policy(seed, k, m, centres):
     best, dist = centred_search(8)(z, r, pam, c)
     runs = [(best, dist, c.tree_nodes, c.leaves)]
     c = OpCounters()
-    best, _, dist = tree_search(z, r, pam, complete, c)
+    best, _, dist = tree_search(z, r, pam, complete, c, None, None)
     runs.append((best, dist, c.tree_nodes, c.leaves))
     assert runs[0] == runs[1]
 
@@ -880,11 +957,12 @@ def test_tree_search_equals_the_recursive_reference(seed, n, m, k, data):
     level or at a random offset from one, along the path of the levels
     nearest each centre.  At up to four levels the centre is an exact tie
     instead, a midpoint from ``EXACT_TIES`` (row i's coupling zeroed), at
-    every node.  The leaf hook's ``d_p`` depends on the leaf and the
-    radius: a squared PAM spacing at the first leaf, which keeps the sphere
-    wide, then 0, a quarter of that, or ``radius - d_leaf``, whose total
-    ties the radius, so that only the strict-improvement rule keeps the
-    leaf found first."""
+    every node.  Every leaf call gets the search's ``pam`` and counters and
+    the leaf stage's R and ``z`` as handed in.  The leaf hook's ``d_p``
+    depends on the leaf and the radius: a squared PAM spacing at the first
+    leaf, which keeps the sphere wide, then 0, a quarter of that, or
+    ``radius - d_leaf``, whose total ties the radius, so that only the
+    strict-improvement rule keeps the leaf found first."""
     pam = QAMS[m].pam
     levels = pam.level_tuple
     offsets = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -907,20 +985,22 @@ def test_tree_search_equals_the_recursive_reference(seed, n, m, k, data):
     r, z = r * 2.0**k, z * 2.0**k
     wide = (pam.spacing * 2.0**k) ** 2  # a radius that keeps about one level each side
 
-    def hook(calls):
-        def leaf(s, d_leaf, radius):
-            calls.append((tuple(s), struct.pack("dd", d_leaf, radius)))
+    def hook(calls, c):
+        def leaf(s, leaf_r, radius, d_leaf, leaf_pam, counters, leaf_z):
+            calls.append((tuple(s), struct.pack("dd", d_leaf, radius), leaf_r, leaf_z,
+                          leaf_pam is pam, counters is c))
             kind = sum(levels.index(x) * (i + 1) for i, x in enumerate(s)) % 3
             d_p = wide if radius == math.inf else (0.0, radius - d_leaf, wide / 4)[kind]
-            return d_p, (tuple(s), kind)
+            return tuple(s), kind, d_p
         return leaf
 
     runs = []
     for search in (tree_search, tree_search_reference):
         calls, c = [], OpCounters()
-        best, payload, dist = search(z, r, pam, hook(calls), c)
+        best, payload, dist = search(z, r, pam, hook(calls, c), c, "rows", "z")
         runs.append((best, payload, struct.pack("d", dist), c, calls))
     assert runs[0] == runs[1]
+    assert {call[2:] for call in runs[0][4]} == {("rows", "z", True, True)}
 
 
 @pytest.mark.parametrize("order", ["centred", "tables"])
@@ -938,13 +1018,20 @@ def test_tree_search_runs_on_plain_floats(order):
     r, z = r[8:, 8:], z[8:]  # the tree block, whose pattern the table policy needs
     seen = []
 
-    def leaf(s, d_leaf, radius):
+    def leaf(s, leaf_r, radius, d_leaf, pam, counters, leaf_z):
         seen.append((type(d_leaf), type(radius)))
-        return 0.0, None
+        return None, None, 0.0
 
-    _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters())
+    _, _, dist = tree_search(z, r, QAM16.pam, leaf, OpCounters(), None, None)
     assert type(dist) is float
     assert seen and set(seen) == {(float, float)}
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_tree_search_refuses_a_block_of_other_sizes(n):
+    # a coupled row of such a block names a level it does not have
+    with pytest.raises(ValueError, match=f"4 or 8 levels, not {n}"):
+        tree_search(np.zeros(n), np.eye(n), QPSK.pam, complete, OpCounters(), None, None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
